@@ -3,10 +3,28 @@
 psi(h, char, G) attaches to a structure, a character and a group of
 automorphisms the function whose value at g in G is the generating sum of
 proper colorings fixed by g; organized by monomial type, each coefficient
-is an exact class function.  Enumeration works over proper set
-compositions, peeling first blocks and pruning on vanishing splits or
-character value 0; hypergraph enumeration prunes on fully covered edges;
-point collections are filtered whole.
+is an exact class function.
+
+Proper set compositions come from one kernel on bitmasks, after the
+set-partition dynamic programme of Bjorklund, Husfeldt and Koivisto
+("Set partitioning via inclusion-exclusion", SIAM J. Comput. 39, 2009).
+Label i of the sorted ground set is bit i.  For every nonempty mask R of
+labels still to be placed, the kernel tabulates the masks S inside R
+allowed as the next block; one recursion over that table lists the
+compositions.  Each (R, S) pair is decided once, so the table holds at
+most 3^n pairs however many prefixes reach R:
+
+- splitting kinds: the minor left at R is contract(h, ground - R), which
+  for matroids rests on M/S1/S2 = M/(S1 | S2); S is allowed when the split
+  of that minor along S is nonzero and the character is 1 on its
+  restriction to S (on the minor itself when S = R);
+- hypergraphs: S is allowed when every edge that meets S and lies inside
+  the placed labels together with S meets S in exactly one element;
+- point collections: every S is allowed and whole compositions are
+  filtered, scoring against the points scaled once to integers.
+
+psi counts, for every group element, the compositions it fixes, from a
+table of the element's images of all masks.
 
 The principal specialization gives a polynomial with class-function
 coefficients on the binomial basis; orbital versions average each
@@ -20,15 +38,15 @@ from concurrent.futures import ProcessPoolExecutor
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
-from math import comb
+from itertools import product
+from math import comb, lcm
 
-from .compositions import IntComposition, SetComposition, act, type_of
+from .compositions import IntComposition, SetComposition, type_of
 from .errors import DomainError, ResourceCapError
 from .groups import (ClassFunction, Permutation, burnside_count, leq_char)
 from .structures import (CharacterSpec, automorphism_check, char_value, check_compatible,
                          contract, level_set_composition, proper_coloring,
-                         proper_composition, restrict, split_is_zero)
+                         restrict, split_is_zero)
 
 GROUND_CAP = 9
 ORACLE_GROUND_CAP = 8
@@ -36,90 +54,142 @@ ORACLE_GROUND_CAP = 8
 
 def proper_compositions(h, char, workers=1, max_ground=GROUND_CAP):
     """All proper set compositions of h for the character, sorted by length
-    then blocks.  With workers > 1 the search space is partitioned by the
-    first block; results are identical to the serial run."""
+    then blocks.  With workers > 1 the listing is split by first block over
+    at most that many processes (see worker_count); results are identical
+    to the serial run.  A workers value below 1 is a DomainError."""
     char = check_compatible(h, char)
     n = len(h.ground)
     if n > max_ground:
         raise ResourceCapError("ground set size %d exceeds cap %d" % (n, max_ground))
-    firsts = [frozenset(c) for k in range(1, n + 1)
-              for c in combinations(h.ground, k)]
-    if workers > 1:
-        tasks = [(h, char, f) for f in firsts]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_enumerate_from_first, tasks))
-        found = [c for chunk in chunks for c in chunk]
+    if workers < 1:
+        raise DomainError("workers must be at least 1, got %d" % workers)
+    table = _next_blocks(h, char)
+    firsts = table[-1]
+    size = worker_count(workers, len(firsts))
+    if size > 1:
+        tasks = [(table, firsts[i::size]) for i in range(size)]
+        with ProcessPoolExecutor(max_workers=size) as pool:
+            found = [c for chunk in pool.map(_list_compositions, tasks) for c in chunk]
     else:
-        found = []
-        for f in firsts:
-            found.extend(_enumerate_from_first((h, char, f)))
-    return sorted(found, key=lambda c: (c.length, c.blocks))
+        # streamed, so the mask tuples never all coexist with the compositions
+        found = _walk(table, len(table) - 1, firsts)
+    if h.kind == "gen_permutohedron":
+        found = _points_filter(h, found)
+    labels = _mask_labels(h.ground)
+    comps = [SetComposition([labels[S] for S in c]) for c in found]
+    comps.sort(key=lambda c: (c.length, c.blocks))
+    return comps
 
 
-def _enumerate_from_first(task):
-    h, char, first = task
-    out = []
+def worker_count(requested, tasks):
+    """Processes to start for `tasks` independent tasks: the request clamped
+    to the CPU count and to the task count, and never below 1.  A pool
+    starts all its processes at once, so an unclamped request could start
+    thousands of them."""
+    from os import cpu_count
+    return max(1, min(requested, cpu_count() or 1, tasks))
+
+
+def _submasks(R):
+    """Nonempty submasks of R, in decreasing order."""
+    S = R
+    while S:
+        yield S
+        S = (S - 1) & R
+
+
+def _mask_labels(ground):
+    """labels[m]: the labels of the bits of m, in sorted order."""
+    labels = [()]
+    for m in range(1, 1 << len(ground)):
+        low = m & -m
+        labels.append((ground[low.bit_length() - 1],) + labels[m ^ low])
+    return labels
+
+
+def _next_blocks(h, char):
+    """table[R] for every mask R of labels still to be placed: the masks
+    S inside R allowed as the next block.  table[0] is empty and unused."""
+    ground = h.ground
+    full = (1 << len(ground)) - 1
+    labels = _mask_labels(ground)
+    table = [[]]
     if h.kind == "hypergraph":
-        _rec_hypergraph(h, dict(), first, [], out)
+        index = {x: i for i, x in enumerate(ground)}
+        edges = [sum(1 << index[x] for x in e) for e in h.edges]
+        for R in range(1, full + 1):
+            placed = full ^ R
+            table.append([S for S in _submasks(R) if _edges_ok(edges, placed | S, S)])
     elif h.kind == "gen_permutohedron":
-        _rec_points(h, char, frozenset(h.ground), first, [], out)
+        for R in range(1, full + 1):
+            table.append(list(_submasks(R)))
     else:
-        _rec_peel(h, char, first, [], out)
-    return out
+        for R in range(1, full + 1):
+            minor = h if R == full else contract(h, labels[full ^ R])
+            table.append([S for S in _submasks(R) if _splits(minor, char, labels[S], S == R)])
+    return table
 
 
-def _rec_peel(cur, char, block, prefix, out):
-    """Peel one block off a splitting structure, then recurse freely."""
-    S = frozenset(block)
-    whole = len(S) == len(cur.ground)
-    if not whole and split_is_zero(cur, S):
-        return
-    if char_value(cur if whole else restrict(cur, S), char) != 1:
-        return
-    prefix = prefix + [tuple(sorted(S))]
+def _edges_ok(edges, covered, S):
+    """No edge inside `covered` meets the new block S in two or more
+    elements; such an edge would have no unique top element."""
+    for e in edges:
+        hit = e & S
+        if hit & (hit - 1) and not e & ~covered:
+            return False
+    return True
+
+
+def _splits(minor, char, S, whole):
+    """Whether block S may be peeled off the minor: a nonzero split and the
+    character 1 on the restriction (on the minor itself when S is all of
+    it)."""
     if whole:
-        out.append(SetComposition(tuple(prefix)))
-        return
-    nxt = contract(cur, S)
-    for k in range(1, len(nxt.ground) + 1):
-        for c in combinations(nxt.ground, k):
-            _rec_peel(nxt, char, frozenset(c), prefix, out)
+        return char_value(minor, char) == 1
+    return not split_is_zero(minor, S) and char_value(restrict(minor, S), char) == 1
 
 
-def _rec_hypergraph(h, position, block, prefix, out):
-    """Place one block; any edge that just became fully covered must meet
-    it in exactly one element."""
-    depth = len(prefix)
-    newpos = dict(position)
-    for x in block:
-        newpos[x] = depth
-    for e in h.edges:
-        if any(x in block for x in e) and all(x in newpos for x in e):
-            if sum(1 for x in e if newpos[x] == depth) != 1:
-                return
-    prefix = prefix + [tuple(sorted(block))]
-    remaining = [x for x in h.ground if x not in newpos]
-    if not remaining:
-        out.append(SetComposition(tuple(prefix)))
-        return
-    for k in range(1, len(remaining) + 1):
-        for c in combinations(remaining, k):
-            _rec_hypergraph(h, newpos, frozenset(c), prefix, out)
+def _list_compositions(task):
+    """Pool task: the compositions whose first block is one of `firsts`."""
+    table, firsts = task
+    return list(_walk(table, len(table) - 1, firsts))
 
 
-def _rec_points(h, char, remaining, block, prefix, out):
-    """No pruning is available for point collections; completed
-    compositions are tested whole."""
-    prefix = prefix + [tuple(sorted(block))]
-    rest = remaining - frozenset(block)
-    if not rest:
-        comp = SetComposition(tuple(prefix))
-        if proper_composition(h, char, comp):
-            out.append(comp)
-        return
-    for k in range(1, len(rest) + 1):
-        for c in combinations(sorted(rest), k):
-            _rec_points(h, char, rest, frozenset(c), prefix, out)
+def _walk(table, R, blocks, prefix=()):
+    """Every block sequence that extends prefix by one of `blocks` and
+    then follows the table until no label is left, as tuples of masks."""
+    for S in blocks:
+        if S == R:
+            yield prefix + (S,)
+        else:
+            yield from _walk(table, R ^ S, table[R ^ S], prefix + (S,))
+
+
+def _points_filter(h, found):
+    """Yield the compositions whose block-index weighting has a unique
+    maximizing point, the test of structures._points_proper.  Scores use
+    the points scaled by the lcm of their denominators: a positive factor
+    keeps the set of maximizers, and the arithmetic is on integers.  A
+    label in the j-th block (counting from 1) lies in exactly j of the
+    suffix unions B_i | ... | B_k, so a point scores the sum of its
+    coordinate sums over those unions."""
+    n = len(h.ground)
+    scale = lcm(*(c.denominator for p in h.points for c in p))
+    points = [[c.numerator * (scale // c.denominator) for c in p] for p in h.points]
+    # sums[m]: the coordinate sum over the bits of m, one entry per point
+    sums = [[0] * len(points)]
+    for m in range(1, 1 << n):
+        low = m & -m
+        i = low.bit_length() - 1
+        sums.append([s + p[i] for s, p in zip(sums[m ^ low], points)])
+    for c in found:
+        suffixes, acc = [], 0
+        for S in reversed(c):
+            acc |= S
+            suffixes.append(sums[acc])
+        scores = list(map(sum, zip(*suffixes)))
+        if scores.count(max(scores)) == 1:
+            yield c
 
 
 @dataclass
@@ -181,17 +251,44 @@ def psi(h, char, group, workers=1, max_ground=GROUND_CAP):
             raise DomainError("generator %s is not an automorphism of the structure"
                               % g.cycle_string())
     propers = proper_compositions(h, char, workers=workers, max_ground=max_ground)
+    elements = group.elements
+    stable = _stabilizer_bits(h.ground, elements)
+    mask_of = {b: m for m, b in enumerate(_mask_labels(h.ground))}
+    everyone = (1 << len(elements)) - 1
     by_type = {}
     for comp in propers:
-        by_type.setdefault(type_of(comp), []).append(comp)
+        fixers = everyone
+        for b in comp.blocks:
+            fixers &= stable[mask_of[b]]
+        tally = by_type.setdefault(tuple(map(len, comp.blocks)), {})
+        tally[fixers] = tally.get(fixers, 0) + 1
     coeffs = {}
-    for alpha, comps in by_type.items():
-        comp_set = set(comps)
-        by_element = {}
-        for g in group.elements:
-            by_element[g] = sum(1 for c in comps if act(g, c) == c)
-        coeffs[alpha] = ClassFunction.from_element_values(group, by_element)
+    for parts, tally in by_type.items():
+        by_element = {g: sum(cnt for fixers, cnt in tally.items() if fixers >> k & 1)
+                      for k, g in enumerate(elements)}
+        coeffs[IntComposition(parts)] = ClassFunction.from_element_values(group, by_element)
     return ClassQSym(len(h.ground), group, coeffs)
+
+
+def _stabilizer_bits(ground, elements):
+    """stable[m]: bit k set when elements[k] maps the labels of mask m onto
+    themselves.  A set composition is fixed by g exactly when g maps every
+    block onto itself, so the elements fixing it are the AND of stable over
+    its block masks; that is the test act(g, c) == c, read off tables.
+
+    Each element's image table img[m] is built one lowest bit at a time."""
+    index = {x: i for i, x in enumerate(ground)}
+    size = 1 << len(ground)
+    stable = [0] * size
+    for k, g in enumerate(elements):
+        bit = [1 << index[g(x)] for x in ground]
+        img = [0] * size
+        for m in range(1, size):
+            low = m & -m
+            img[m] = img[m ^ low] | bit[low.bit_length() - 1]
+            if img[m] == m:
+                stable[m] |= 1 << k
+    return stable
 
 
 @dataclass

@@ -28,7 +28,8 @@ def _add_common(p, max_ground_default):
     p.add_argument("--input", required=True, help="job JSON file")
     p.add_argument("--output", help="write the result here instead of stdout")
     p.add_argument("--workers", type=int, default=1,
-                   help="parallel workers for composition enumeration")
+                   help="parallel workers for composition enumeration, at most the "
+                        "CPU count (at least 1)")
     p.add_argument("--max-ground", type=int, default=max_ground_default,
                    help="ground size cap (default %d)" % max_ground_default)
     p.add_argument("--max-group-order", type=int, default=GROUP_ORDER_CAP,
@@ -85,6 +86,8 @@ def _write(result, args):
 
 
 def _job(args, need_char=True):
+    if args.workers < 1:
+        raise DomainError("workers must be at least 1, got %d" % args.workers)
     h, char, group, colors = jobio.read_job(args.input, group_cap=args.max_group_order)
     if need_char and char is None:
         raise DomainError("missing field 'character'")

@@ -1,13 +1,13 @@
 """The eight supported structure kinds and their splitting calculus.
 
-Each kind carries a ground set of string labels and knows how to restrict
-to a subset and contract by one, with a possibly-zero splitting rule:
-coproduct(h, S) returns either the pair (h restricted to S, h contracted
-by S) or the ZERO sentinel when the split vanishes (posets and double
-posets need S to be a down-closed set, mixed graphs forbid arcs pointing
-from the complement into S).  Hypergraphs and point collections
-(generalized permutohedra) do not expose restrict/contract here; their
-properness predicate is stated directly on whole set compositions.
+Each kind carries a ground set of string labels.  The six splitting kinds
+know how to restrict to a subset (restrict) and to contract by one
+(contract), and split_is_zero says when the split along (S, complement)
+vanishes: posets and double posets need S to be a down-closed set, mixed
+graphs forbid arcs pointing from the complement into S.  Hypergraphs and
+point collections (generalized permutohedra) do not expose
+restrict/contract here; their properness predicate is stated directly on
+whole set compositions.
 
 A character assigns 0 or 1 to a structure, multiplicatively over blocks.
 Supported names and the kinds they apply to:
@@ -35,23 +35,6 @@ from itertools import combinations, permutations
 from .compositions import SetComposition
 from .errors import DomainError, ResourceCapError
 from .groups import Permutation
-
-
-class _ZeroSplit:
-    """Sentinel for a vanishing split."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "ZERO"
-
-
-ZERO = _ZeroSplit()
 
 
 def _norm_ground(labels):
@@ -412,13 +395,6 @@ def split_is_zero(h, S):
     if h.kind == "mixed_graph":
         return any(u in rest and v in S for u, v in h.directed)
     raise DomainError("kind %s has no splitting; its properness test is direct" % h.kind)
-
-
-def coproduct(h, S):
-    """(restrict(h, S), contract(h, S)), or ZERO when the split vanishes."""
-    if split_is_zero(h, S):
-        return ZERO
-    return restrict(h, S), contract(h, S)
 
 
 def _check_subset(h, S):

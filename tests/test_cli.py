@@ -127,6 +127,14 @@ def test_exit_code_resource_cap(tmp_path):
     assert err["error"] == "resource_cap"
 
 
+@pytest.mark.parametrize("command", ["psi", "oracle"])
+def test_exit_code_workers_below_one(tmp_path, command):
+    job = _write_job(tmp_path, FOUR_CYCLE_JOB)
+    proc = _run([command, "--input", job, "--workers", "0"])
+    assert proc.returncode == 2
+    assert json.loads(proc.stderr)["error"] == "domain"
+
+
 def test_max_ground_override(tmp_path):
     job = {"kind": "graph",
            "structure": {"vertices": list("abcde"),
