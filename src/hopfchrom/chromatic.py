@@ -34,7 +34,6 @@ for cross-checking, and verify_flawless checks the f-vector inequalities
 either numerically or in the effective order on characters.
 """
 
-from concurrent.futures import ProcessPoolExecutor
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -52,42 +51,35 @@ GROUND_CAP = 9
 ORACLE_GROUND_CAP = 8
 
 
-def proper_compositions(h, char, workers=1, max_ground=GROUND_CAP):
+def proper_compositions(h, char, workers=1, max_ground=GROUND_CAP, masks=False):
     """All proper set compositions of h for the character, sorted by length
-    then blocks.  With workers > 1 the listing is split by first block over
-    at most that many processes (see worker_count); results are identical
-    to the serial run.  A workers value below 1 is a DomainError."""
+    then blocks.  With masks=True they come as tuples of block bitmasks
+    (label i of the sorted ground set is bit i), in listing order.
+
+    workers is deprecated: the listing is serial, since a process pool
+    over first blocks measured slower than one process.  A value above 1
+    warns and is ignored; a value below 1 is a DomainError."""
     char = check_compatible(h, char)
     n = len(h.ground)
     if n > max_ground:
         raise ResourceCapError("ground set size %d exceeds cap %d" % (n, max_ground))
     if workers < 1:
         raise DomainError("workers must be at least 1, got %d" % workers)
-    table = _next_blocks(h, char)
-    firsts = table[-1]
-    size = worker_count(workers, len(firsts))
-    if size > 1:
-        tasks = [(table, firsts[i::size]) for i in range(size)]
-        with ProcessPoolExecutor(max_workers=size) as pool:
-            found = [c for chunk in pool.map(_list_compositions, tasks) for c in chunk]
-    else:
-        # streamed, so the mask tuples never all coexist with the compositions
-        found = _walk(table, len(table) - 1, firsts)
+    if workers > 1:
+        from warnings import warn
+        warn("workers is deprecated and ignored: proper compositions are listed "
+             "serially", FutureWarning, stacklevel=2)
+    labels = _mask_labels(h.ground)
+    table = _next_blocks(h, char, labels)
+    found = _walk(table, len(table) - 1, table[-1])
     if h.kind == "gen_permutohedron":
         found = _points_filter(h, found)
-    labels = _mask_labels(h.ground)
+    if masks:
+        return list(found)
+    # streamed, so the mask tuples never all coexist with the compositions
     comps = [SetComposition([labels[S] for S in c]) for c in found]
     comps.sort(key=lambda c: (c.length, c.blocks))
     return comps
-
-
-def worker_count(requested, tasks):
-    """Processes to start for `tasks` independent tasks: the request clamped
-    to the CPU count and to the task count, and never below 1.  A pool
-    starts all its processes at once, so an unclamped request could start
-    thousands of them."""
-    from os import cpu_count
-    return max(1, min(requested, cpu_count() or 1, tasks))
 
 
 def _submasks(R):
@@ -107,12 +99,12 @@ def _mask_labels(ground):
     return labels
 
 
-def _next_blocks(h, char):
+def _next_blocks(h, char, labels):
     """table[R] for every mask R of labels still to be placed: the masks
-    S inside R allowed as the next block.  table[0] is empty and unused."""
+    S inside R allowed as the next block.  table[0] is empty and unused.
+    labels is _mask_labels of the ground set."""
     ground = h.ground
     full = (1 << len(ground)) - 1
-    labels = _mask_labels(ground)
     table = [[]]
     if h.kind == "hypergraph":
         index = {x: i for i, x in enumerate(ground)}
@@ -147,12 +139,6 @@ def _splits(minor, char, S, whole):
     if whole:
         return char_value(minor, char) == 1
     return not split_is_zero(minor, S) and char_value(restrict(minor, S), char) == 1
-
-
-def _list_compositions(task):
-    """Pool task: the compositions whose first block is one of `firsts`."""
-    table, firsts = task
-    return list(_walk(table, len(table) - 1, firsts))
 
 
 def _walk(table, R, blocks, prefix=()):
@@ -250,17 +236,17 @@ def psi(h, char, group, workers=1, max_ground=GROUND_CAP):
         if not automorphism_check(h, g):
             raise DomainError("generator %s is not an automorphism of the structure"
                               % g.cycle_string())
-    propers = proper_compositions(h, char, workers=workers, max_ground=max_ground)
+    propers = proper_compositions(h, char, workers=workers, max_ground=max_ground,
+                                  masks=True)
     elements = group.elements
     stable = _stabilizer_bits(h.ground, elements)
-    mask_of = {b: m for m, b in enumerate(_mask_labels(h.ground))}
     everyone = (1 << len(elements)) - 1
     by_type = {}
     for comp in propers:
         fixers = everyone
-        for b in comp.blocks:
-            fixers &= stable[mask_of[b]]
-        tally = by_type.setdefault(tuple(map(len, comp.blocks)), {})
+        for S in comp:
+            fixers &= stable[S]
+        tally = by_type.setdefault(tuple(S.bit_count() for S in comp), {})
         tally[fixers] = tally.get(fixers, 0) + 1
     coeffs = {}
     for parts, tally in by_type.items():

@@ -28,8 +28,8 @@ def _add_common(p, max_ground_default):
     p.add_argument("--input", required=True, help="job JSON file")
     p.add_argument("--output", help="write the result here instead of stdout")
     p.add_argument("--workers", type=int, default=1,
-                   help="parallel workers for composition enumeration, at most the "
-                        "CPU count (at least 1)")
+                   help="deprecated and ignored (at least 1): compositions are "
+                        "listed serially")
     p.add_argument("--max-ground", type=int, default=max_ground_default,
                    help="ground size cap (default %d)" % max_ground_default)
     p.add_argument("--max-group-order", type=int, default=GROUP_ORDER_CAP,

@@ -6,7 +6,7 @@ from hopfchrom.chromatic import (binomial_to_monomial, coloring_oracle,
                                  colorings_by_type, fixed_coloring_counts,
                                  orbital_polynomial, orbital_psi,
                                  proper_compositions, psi, psi_polynomial,
-                                 verify_flawless, worker_count)
+                                 verify_flawless)
 from hopfchrom.compositions import IntComposition
 from hopfchrom.errors import DomainError, ResourceCapError
 from hopfchrom.groups import PermGroup, Permutation
@@ -43,20 +43,11 @@ def test_proper_compositions_triangle():
 
 def test_worker_determinism(four_cycle):
     one = proper_compositions(four_cycle, CHROM, workers=1)
-    two = proper_compositions(four_cycle, CHROM, workers=2)
-    three = proper_compositions(four_cycle, CHROM, workers=3)
+    with pytest.warns(FutureWarning, match="deprecated"):
+        two = proper_compositions(four_cycle, CHROM, workers=2)
+    with pytest.warns(FutureWarning, match="deprecated"):
+        three = proper_compositions(four_cycle, CHROM, workers=3)
     assert one == two == three
-
-
-def test_worker_count_is_clamped(monkeypatch):
-    # a pure computation: no pool is started for these requests
-    monkeypatch.setattr("os.cpu_count", lambda: 4)
-    assert worker_count(10 ** 9, 100) == 4
-    assert worker_count(10 ** 9, 3) == 3
-    assert worker_count(2, 100) == 2
-    assert worker_count(10 ** 9, 0) == 1
-    monkeypatch.setattr("os.cpu_count", lambda: None)
-    assert worker_count(10 ** 9, 100) == 1
 
 
 @pytest.mark.parametrize("workers", [0, -1])

@@ -135,6 +135,13 @@ def test_exit_code_workers_below_one(tmp_path, command):
     assert json.loads(proc.stderr)["error"] == "domain"
 
 
+def test_workers_above_one_warns(tmp_path):
+    job = _write_job(tmp_path, FOUR_CYCLE_JOB)
+    proc = _run(["psi", "--input", job, "--workers", "2"])
+    assert proc.returncode == 0
+    assert "FutureWarning" in proc.stderr and "deprecated" in proc.stderr
+
+
 def test_max_ground_override(tmp_path):
     job = {"kind": "graph",
            "structure": {"vertices": list("abcde"),

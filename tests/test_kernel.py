@@ -33,13 +33,6 @@ def test_kernel_matches_reference(kind):
 
 
 @pytest.mark.parametrize("kind", KINDS)
-def test_kernel_split_over_workers(kind):
-    h, char = max(((h, char) for _, h, char, _ in CORPUS if h.kind == kind),
-                  key=lambda case: len(case[0].ground))
-    assert proper_compositions(h, char, workers=2) == proper_compositions(h, char)
-
-
-@pytest.mark.parametrize("kind", KINDS)
 def test_fixed_counts_match_act(kind):
     for _, h, char, group in CORPUS:
         if h.kind != kind:
@@ -70,7 +63,6 @@ def test_point_scoring_with_fractional_coordinates():
     expected = [c for c in every if _points_proper(h, c)]
     assert 0 < len(expected) < len(every)
     assert proper_compositions(h, "vertex_generic") == expected
-    assert proper_compositions(h, "vertex_generic", workers=2) == expected
 
 
 def test_matroid_contraction_is_associative():
