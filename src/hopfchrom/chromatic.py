@@ -248,31 +248,45 @@ def psi(h, char, group, workers=1, max_ground=GROUND_CAP):
             fixers &= stable[S]
         tally = by_type.setdefault(tuple(S.bit_count() for S in comp), {})
         tally[fixers] = tally.get(fixers, 0) + 1
-    coeffs = {}
-    for parts, tally in by_type.items():
-        by_element = {g: sum(cnt for fixers, cnt in tally.items() if fixers >> k & 1)
-                      for k, g in enumerate(elements)}
-        coeffs[IntComposition(parts)] = ClassFunction.from_element_values(group, by_element)
+    coeffs = {IntComposition(parts): cf
+              for parts, cf in _class_functions(group, by_type).items()}
     return ClassQSym(len(h.ground), group, coeffs)
+
+
+def _class_functions(group, tallies):
+    """{key: class function} from tallies[key], which maps each bitset of
+    fixing elements (bit k for group.elements[k]) to the number of objects
+    fixed by exactly those elements.  The value at g sums the counts whose
+    bitset contains g; class constancy is checked."""
+    elements = group.elements
+    return {key: ClassFunction.from_element_values(group, {
+                g: sum(cnt for fixers, cnt in tally.items() if fixers >> k & 1)
+                for k, g in enumerate(elements)})
+            for key, tally in tallies.items()}
+
+
+def _image_table(ground, g):
+    """img[m]: the mask of the images under g of the labels of mask m
+    (label i of the sorted ground set is bit i), built one lowest bit at
+    a time."""
+    index = {x: i for i, x in enumerate(ground)}
+    bit = [1 << index[g(x)] for x in ground]
+    img = [0] * (1 << len(ground))
+    for m in range(1, len(img)):
+        low = m & -m
+        img[m] = img[m ^ low] | bit[low.bit_length() - 1]
+    return img
 
 
 def _stabilizer_bits(ground, elements):
     """stable[m]: bit k set when elements[k] maps the labels of mask m onto
     themselves.  A set composition is fixed by g exactly when g maps every
     block onto itself, so the elements fixing it are the AND of stable over
-    its block masks; that is the test act(g, c) == c, read off tables.
-
-    Each element's image table img[m] is built one lowest bit at a time."""
-    index = {x: i for i, x in enumerate(ground)}
-    size = 1 << len(ground)
-    stable = [0] * size
+    its block masks; that is the test act(g, c) == c, read off tables."""
+    stable = [0] * (1 << len(ground))
     for k, g in enumerate(elements):
-        bit = [1 << index[g(x)] for x in ground]
-        img = [0] * size
-        for m in range(1, size):
-            low = m & -m
-            img[m] = img[m ^ low] | bit[low.bit_length() - 1]
-            if img[m] == m:
+        for m, image in enumerate(_image_table(ground, g)):
+            if image == m:
                 stable[m] |= 1 << k
     return stable
 

@@ -5,39 +5,55 @@ A face is a flag (a strictly increasing chain of proper nonempty subsets
 of the ground set, possibly empty).  A balanced relative complex is a
 face set that is sandwich-closed (anything between two faces is a face),
 pure (every face extends to one of maximal size), and balanced (member
-sizes inside a face are distinct, which flags guarantee for free).
+sizes inside a face are distinct, which flags guarantee for free).  Each
+face is also kept as the tuple of its member bitmasks (label i of the
+sorted ground set is bit i), and the checks below work on those.
 
 coloring_complex builds the face set of all flags of proper compositions
 of a structure; for kinds with a splitting calculus the three convexity
 conditions of the character are verified first, recursively over every
 minor reachable through nonzero splits, and a violation is reported with
-the witnessing subset chain.
+the witnessing subset chain.  Sandwich closure is checked locally, on
+tau - x for every face tau and member x, and purity by a search down
+from the top faces; BalancedRelativeComplex._validate proves both
+equivalent to the scans over all faces.
 
 hilb packages fixed-face counts per size set into the same kind of
-quasisymmetric class function that psi produces; the two agree for
-coloring complexes, and verify_psi_equals_hilb checks that coefficient
-by coefficient.  theta_certificate certifies that coarser-type faces
-embed into finer-type faces: a 0/1 incidence matrix (rows indexed by the
-finer faces) with full column rank, plus an equivariance check on the
-group generators.  Rank is computed by exact integer elimination; no
-floating point.
+quasisymmetric class function that psi produces, with the same rule: g
+fixes a flag exactly when it maps every member onto itself.  The two
+agree for coloring complexes, and verify_psi_equals_hilb checks that
+coefficient by coefficient.  theta_certificate certifies that
+coarser-type faces embed into finer-type faces: a 0/1 incidence matrix
+(rows indexed by the finer faces) with full column rank, plus an
+equivariance check on the group generators.  Since flag members have
+distinct sizes, a coarser face lies in a finer one exactly when it is
+the finer face's projection to the coarser sizes, so each row has at
+most one 1 and is built by a lookup; since permutations keep inclusion,
+equivariance is decided by the chains a generator moves into or out of
+the finer faces, none for an automorphism.  Rank is computed by exact
+integer elimination; no floating point.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
-from .compositions import (Flag, IntComposition, act_flag, alpha_of_subset,
-                           compositions_of, flag_of, refines, subset_of_alpha,
-                           type_of_flag)
-from .chromatic import GROUND_CAP, ClassQSym, proper_compositions, psi
+from .compositions import (Flag, IntComposition, alpha_of_subset,
+                           compositions_of, refines, subset_of_alpha)
+from .chromatic import (GROUND_CAP, ClassQSym, _class_functions, _image_table,
+                        _mask_labels, _stabilizer_bits, proper_compositions, psi)
 from .errors import DomainError, VerificationFailure
-from .groups import ClassFunction, leq_char
+from .groups import leq_char
 from .structures import (DIRECT_ONLY_KINDS, char_value, check_compatible,
                          contract, restrict, split_is_zero)
 
 
 class BalancedRelativeComplex:
-    """A validated set of flag faces on a common ground set."""
+    """A validated set of flag faces on a common ground set.
+
+    Alongside the Flag faces the complex keeps each face as its tuple of
+    member masks (label i of the sorted ground set is bit i), in chain
+    order; the checks, hilb and the certificates work on those."""
 
     def __init__(self, ground, faces, validate=True):
         self.ground = tuple(sorted(ground))
@@ -49,6 +65,13 @@ class BalancedRelativeComplex:
                 raise DomainError("face %s lives on a different ground set" % (f,))
             canon.add(f)
         self.faces = frozenset(canon)
+        bit = {x: 1 << i for i, x in enumerate(self.ground)}
+        mask_of = {}
+        for f in self.faces:
+            for s in f.chain:
+                if s not in mask_of:
+                    mask_of[s] = sum(bit[x] for x in s)
+        self._chains = {f: tuple(mask_of[s] for s in f.chain) for f in self.faces}
         if validate:
             self._validate()
 
@@ -60,46 +83,86 @@ class BalancedRelativeComplex:
         return max(len(f.chain) for f in self.faces) - 1
 
     def _validate(self):
-        faces = self.faces
-        chains = {frozenset(f.chain) for f in faces}
-        for tau in faces:
-            members = list(tau.chain)
-            for k in range(len(members)):
-                for sub in combinations(members, k):
-                    sigma = frozenset(sub)
-                    if sigma in chains:
-                        continue
-                    for rho in chains:
-                        if rho <= sigma:
-                            raise DomainError(
-                                "sandwich violation: %s <= %s <= %s, middle face missing"
-                                % (_chain_str(rho), _chain_str(sigma), _chain_str(tau.chain)))
-        if faces:
-            top = self.dimension + 1
-            facets = [frozenset(f.chain) for f in faces if len(f.chain) == top]
-            for f in faces:
-                fc = frozenset(f.chain)
-                if not any(fc <= big for big in facets):
-                    raise DomainError("purity violation: face %s extends to no %d-vertex face"
-                                      % (f, top))
+        """Sandwich closure, then purity, on member masks.
+
+        Sandwich: whenever rho <= sigma <= tau with rho and tau faces,
+        sigma is a face.  It suffices to test sigma = tau - x for every
+        face tau and member x: if that local rule holds and rho <= sigma
+        <= tau, take x in tau - sigma; tau - x lies above the face rho, so
+        it is a face, and induction on |tau - sigma| reaches sigma.
+        face_below(sigma) answers "is some face inside sigma?": sigma
+        itself if it is a face, else the answer for some sigma - x, since
+        a face strictly inside sigma misses some member x of sigma; by
+        induction on |sigma| it finds a face exactly when one exists.
+
+        Purity: every face lies in a face of the top size.  Search down
+        from the top faces, dropping one member at a time and passing only
+        through faces.  With sandwich closure every chain between a face
+        and a top face above it is a face, so the search reaches exactly
+        the faces below some top face."""
+        chains = set(self._chains.values())
+        below = {}
+
+        def face_below(sigma):
+            if sigma in chains:
+                return sigma
+            if sigma not in below:
+                below[sigma] = None
+                for i in range(len(sigma)):
+                    rho = face_below(sigma[:i] + sigma[i + 1:])
+                    if rho is not None:
+                        below[sigma] = rho
+                        break
+            return below[sigma]
+
+        for tau in chains:
+            for i in range(len(tau)):
+                sigma = tau[:i] + tau[i + 1:]
+                if sigma not in chains:
+                    rho = face_below(sigma)
+                    if rho is not None:
+                        raise DomainError(
+                            "sandwich violation: %s <= %s <= %s, middle face missing"
+                            % tuple(_chain_str(self._labels(c)) for c in (rho, sigma, tau)))
+        if chains:
+            top = max(map(len, chains))
+            reached = frontier = {c for c in chains if len(c) == top}
+            while frontier:
+                frontier = ({c[:i] + c[i + 1:] for c in frontier for i in range(len(c))}
+                        & chains) - reached
+                reached |= frontier
+            if len(reached) < len(chains):
+                face = min(f for f, c in self._chains.items() if c not in reached)
+                raise DomainError("purity violation: face %s extends to no %d-vertex face"
+                                  % (face, top))
+
+    def _labels(self, chain):
+        return [tuple(x for i, x in enumerate(self.ground) if m >> i & 1) for m in chain]
+
+    @cached_property
+    def _types(self):
+        """kappa -> (faces of that size set sorted by chain, their member
+        masks in the same order)."""
+        out = {}
+        for f in sorted(self.faces, key=lambda f: f.chain):
+            out.setdefault(f.kappa, []).append(f)
+        return {k: (fs, [self._chains[f] for f in fs]) for k, fs in out.items()}
 
     def by_kappa(self):
         """Faces grouped by their size set."""
-        out = {}
-        for f in self.faces:
-            out.setdefault(f.kappa, []).append(f)
-        for k in out:
-            out[k].sort(key=lambda f: f.chain)
-        return out
+        return {k: list(fs) for k, (fs, _) in self._types.items()}
 
     def faces_of_type(self, alpha):
         """Faces whose size set corresponds to the given composition."""
+        return list(self._of_type(alpha)[0])
+
+    def _of_type(self, alpha):
+        """(faces, member masks) of the size set of alpha, sorted by chain."""
         n = len(self.ground)
         if alpha.degree != n:
             raise DomainError("composition degree %d does not match ground size %d"
                               % (alpha.degree, n))
-        want = tuple(sorted(subset_of_alpha(alpha)))
-        return sorted((f for f in self.faces if f.kappa == want), key=lambda f: f.chain)
+        return self._types.get(tuple(sorted(subset_of_alpha(alpha))), ((), ()))
 
 
 def _chain_str(chain):
@@ -164,8 +227,16 @@ def coloring_complex(h, char, max_ground=GROUND_CAP, workers=1):
         raise VerificationFailure(
             "character %s is not balanced convex on this structure: %s"
             % (char, witness["detail"]), witness)
-    propers = proper_compositions(h, char, workers=workers, max_ground=max_ground)
-    faces = [flag_of(c) for c in propers]
+    # the flag of a composition: its prefix unions, the full ground set dropped
+    labels = _mask_labels(h.ground)
+    faces = []
+    for comp in proper_compositions(h, char, workers=workers, max_ground=max_ground,
+                                    masks=True):
+        chain, acc = [], 0
+        for S in comp[:-1]:
+            acc |= S
+            chain.append(labels[acc])
+        faces.append(Flag(h.ground, tuple(chain)))
     phi = BalancedRelativeComplex(h.ground, faces, validate=True)
     if phi.faces and phi.dimension != len(h.ground) - 2:
         raise VerificationFailure(
@@ -177,25 +248,31 @@ def coloring_complex(h, char, max_ground=GROUND_CAP, workers=1):
 def flag_f_vector(phi):
     """Face counts per size set, one entry for every subset of sizes."""
     n = len(phi.ground)
-    counts = {f.kappa: 0 for f in phi.faces}
-    for f in phi.faces:
-        counts[f.kappa] += 1
     out = {}
     for k in range(n):
         for c in combinations(range(1, n), k):
-            out[c] = counts.get(c, 0)
+            out[c] = len(phi._types.get(c, ((), ()))[0])
     return out
 
 
 def complex_automorphism_check(phi, g):
-    """Whether a ground permutation maps faces to faces."""
-    return frozenset(act_flag(g, f) for f in phi.faces) == phi.faces
+    """Whether a ground permutation maps faces to faces.  g is injective on
+    flags, so the image of the face set is the face set exactly when it
+    lies inside it; a member's image is read off g's mask image table."""
+    img = _image_table(phi.ground, g)
+    chains = set(phi._chains.values())
+    return all(tuple(img[m] for m in c) in chains for c in chains)
 
 
 def hilb(phi, group):
     """Fixed-face counts per size set, as a quasisymmetric class function
     of degree |ground|; the empty flag contributes to the one-part
-    composition.  Generators must be complex automorphisms."""
+    composition.  Generators must be complex automorphisms.
+
+    g fixes a flag exactly when it maps every member onto itself, since
+    g keeps member sizes and a flag has one member of each of its sizes;
+    so the elements fixing a face are the AND of chromatic's stabilizer
+    bitsets over its member masks, the rule psi applies to blocks."""
     if group.ground != phi.ground:
         raise DomainError("group acts on %r, complex lives on %r"
                           % (group.ground, phi.ground))
@@ -204,26 +281,37 @@ def hilb(phi, group):
             raise DomainError("generator %s is not an automorphism of the complex"
                               % g.cycle_string())
     n = len(phi.ground)
-    coeffs = {}
-    for kappa, faces in phi.by_kappa().items():
-        alpha = alpha_of_subset(set(kappa), n)
-        by_element = {}
-        for g in group.elements:
-            by_element[g] = sum(1 for f in faces if act_flag(g, f) == f)
-        coeffs[alpha] = ClassFunction.from_element_values(group, by_element)
-    return ClassQSym(n, group, coeffs)
+    stable = _stabilizer_bits(phi.ground, group.elements)
+    everyone = (1 << group.order) - 1
+    tallies = {}
+    for kappa, (_, chains) in phi._types.items():
+        tally = tallies[alpha_of_subset(set(kappa), n)] = {}
+        for c in chains:
+            fixers = everyone
+            for m in c:
+                fixers &= stable[m]
+            tally[fixers] = tally.get(fixers, 0) + 1
+    return ClassQSym(n, group, _class_functions(group, tallies))
+
+
+def psi_hilb_diffs(X, H):
+    """(alpha, psi values, hilb values) for every coefficient where the
+    composition route X and the complex route H differ, in (length,
+    parts) order of alpha."""
+    out = []
+    for alpha in sorted(set(X.coeffs) | set(H.coeffs), key=lambda a: (a.length, a.parts)):
+        a, b = X.coefficient(alpha).values, H.coefficient(alpha).values
+        if a != b:
+            out.append((alpha, a, b))
+    return out
 
 
 def verify_psi_equals_hilb(h, char, group, max_ground=GROUND_CAP):
     """Compare the two routes coefficient by coefficient."""
     X = psi(h, char, group, max_ground=max_ground)
     phi = coloring_complex(h, char, max_ground=max_ground)
-    H = hilb(phi, group)
-    diffs = []
-    for alpha in sorted(set(X.coeffs) | set(H.coeffs), key=lambda a: (a.length, a.parts)):
-        a, b = X.coefficient(alpha).values, H.coefficient(alpha).values
-        if a != b:
-            diffs.append({"alpha": str(alpha), "psi": list(a), "hilb": list(b)})
+    diffs = [{"alpha": str(alpha), "psi": list(a), "hilb": list(b)}
+             for alpha, a, b in psi_hilb_diffs(X, hilb(phi, group))]
     return {"ok": not diffs, "diffs": diffs}
 
 
@@ -280,26 +368,55 @@ def integer_matrix_rank(rows):
 
 
 def theta_certificate(phi, group, alpha, beta):
-    """Certificate for the pair alpha <= beta (beta refines alpha)."""
+    """Certificate for the pair alpha <= beta (beta refines alpha).
+
+    The members of a flag have distinct sizes, and the size set A of alpha
+    lies inside the size set B of beta.  So a source face s lies inside a
+    target face t exactly when s is the projection of t, its sub-chain of
+    the members with sizes in A: each matrix row has at most one 1, in the
+    column of that projection, found by one dict lookup."""
     if not refines(alpha, beta):
         raise DomainError("%s is not refined by %s" % (alpha, beta))
-    src = phi.faces_of_type(alpha)
-    tgt = phi.faces_of_type(beta)
-    matrix = tuple(
-        tuple(1 if set(s.chain) <= set(t.chain) else 0 for s in src)
-        for t in tgt)
+    if group.ground != phi.ground:
+        raise DomainError("group acts on %r, complex lives on %r"
+                          % (group.ground, phi.ground))
+    _, src = phi._of_type(alpha)
+    _, tgt = phi._of_type(beta)
+    sizes_a = subset_of_alpha(alpha)
+    keep = [i for i, k in enumerate(sorted(subset_of_alpha(beta))) if k in sizes_a]
+
+    def project(t):
+        return tuple(t[i] for i in keep)
+
+    column = {s: j for j, s in enumerate(src)}
+    zero = (0,) * len(src)
+    rows = []
+    for t in tgt:
+        j = column.get(project(t))
+        rows.append(zero if j is None else zero[:j] + (1,) + zero[j + 1:])
+    matrix = tuple(rows)
     rank = integer_matrix_rank(matrix)
-    equi = _theta_equivariant(phi, group, src, tgt)
+    equi = _theta_equivariant(phi.ground, group, src, tgt, project)
     return EmbeddingCertificate(alpha, beta, len(src), len(tgt), matrix, rank, equi)
 
 
-def _theta_equivariant(phi, group, src, tgt):
-    tgt_set = set(tgt)
+def _theta_equivariant(ground, group, src, tgt, project):
+    """Whether, for every generator g and source face s, the targets above
+    g(s) are exactly the images g(t) of the targets t above s.
+
+    Any permutation keeps inclusion, g(s) <= g(t) iff s <= t, so the images
+    of the targets above s are the members of g(tgt) above g(s), and the
+    test asks that tgt and g(tgt) hold the same chains above g(s).  It
+    fails exactly when some chain in the symmetric difference of tgt and
+    g(tgt) has its projection in g(src).  For an automorphism the
+    difference is empty, and one pass over the targets settles g."""
+    targets = set(tgt)
     for g in group.generators:
-        for s in src:
-            direct = {t for t in tgt if set(act_flag(g, s).chain) <= set(t.chain)}
-            moved = {act_flag(g, t) for t in tgt if set(s.chain) <= set(t.chain)}
-            if direct != moved or not moved <= tgt_set:
+        img = _image_table(ground, g)
+        changed = {tuple(img[m] for m in t) for t in tgt} ^ targets
+        if changed:
+            moved_src = {tuple(img[m] for m in s) for s in src}
+            if any(project(u) in moved_src for u in changed):
                 return False
     return True
 

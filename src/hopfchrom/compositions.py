@@ -120,8 +120,9 @@ class Flag:
 
     @property
     def kappa(self):
-        """The set of member sizes, as a sorted tuple."""
-        return tuple(sorted(len(s) for s in self.chain))
+        """The set of member sizes, as a sorted tuple (the chain strictly
+        increases, so its sizes already do)."""
+        return tuple(len(s) for s in self.chain)
 
     def __str__(self):
         return "<".join("{%s}" % ",".join(s) for s in self.chain)

@@ -192,6 +192,7 @@ class PermGroup:
         self.class_sizes = tuple(sizes)
         self.class_members = tuple(members)
         self._class_index = {x: assigned[i] for i, x in enumerate(elements)}
+        self._irreducibles = None  # filled by abelian_irreducibles
 
     @property
     def order(self):
@@ -329,8 +330,16 @@ def abelian_irreducibles(group):
 
     Deterministic order: generator-exponent assignments are tried
     lexicographically and each new character is kept at first occurrence,
-    so the trivial character always comes first.
+    so the trivial character always comes first.  The search runs once per
+    group and its result is kept on the group; every call returns a fresh
+    list of the (immutable) characters.
     """
+    if group._irreducibles is None:
+        group._irreducibles = tuple(_search_irreducibles(group))
+    return list(group._irreducibles)
+
+
+def _search_irreducibles(group):
     if not group.is_abelian():
         raise UnsupportedGroupError(
             "irreducible characters are only enumerated for abelian groups")

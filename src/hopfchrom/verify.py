@@ -15,7 +15,7 @@ from .chromatic import (ORACLE_GROUND_CAP, coloring_oracle,
                         fixed_coloring_counts, orbital_polynomial, orbital_psi,
                         psi, psi_polynomial, verify_flawless)
 from .complexes import (check_balanced_convex, coloring_complex, hilb,
-                        verify_m_increasing)
+                        psi_hilb_diffs, verify_m_increasing)
 from .errors import VerificationFailure
 from .structures import DIRECT_ONLY_KINDS, check_compatible
 
@@ -45,13 +45,9 @@ def run_verification(h, char, group, k=None, max_ground=VERIFY_GROUND_CAP,
 
     X = psi(h, char, group, workers=workers, max_ground=max_ground)
     phi = coloring_complex(h, char, max_ground=max_ground, workers=workers)
-    H = hilb(phi, group)
-    diffs = []
-    for alpha in sorted(set(X.coeffs) | set(H.coeffs), key=lambda a: (a.length, a.parts)):
-        a, b = X.coefficient(alpha).values, H.coefficient(alpha).values
-        if a != b:
-            diffs.append({"alpha": str(alpha), "composition_route": list(map(str, a)),
-                          "complex_route": list(map(str, b))})
+    diffs = [{"alpha": str(alpha), "composition_route": list(map(str, a)),
+              "complex_route": list(map(str, b))}
+             for alpha, a, b in psi_hilb_diffs(X, hilb(phi, group))]
     checks["psi_equals_hilb"] = {"ok": not diffs, "diffs": diffs}
 
     inc = verify_m_increasing(X, phi, group, certify=certify)

@@ -3,8 +3,9 @@ import pytest
 from hopfchrom.complexes import (BalancedRelativeComplex,
                                  check_balanced_convex, coloring_complex,
                                  comparable_pairs, flag_f_vector, hilb,
-                                 integer_matrix_rank, theta_certificate,
-                                 verify_m_increasing, verify_psi_equals_hilb)
+                                 integer_matrix_rank, psi_hilb_diffs,
+                                 theta_certificate, verify_m_increasing,
+                                 verify_psi_equals_hilb)
 from hopfchrom.chromatic import psi
 from hopfchrom.compositions import Flag, IntComposition
 from hopfchrom.errors import DomainError
@@ -59,6 +60,33 @@ def test_psi_equals_hilb(bowtie, four_cycle, mixed, z2, z4):
                          (mixed, CharacterSpec("weak_mixed"), z2)):
         rep = verify_psi_equals_hilb(h, char, grp)
         assert rep["ok"], rep
+
+
+def test_psi_hilb_diffs_names_each_differing_coefficient(bowtie, z2):
+    X = psi(bowtie, ZETA, z2)
+    H = hilb(coloring_complex(bowtie, CHROM), z2)
+    assert psi_hilb_diffs(X, X) == []
+    diffs = psi_hilb_diffs(X, H)
+    assert diffs
+    for alpha, a, b in diffs:
+        assert a == X.coefficient(alpha).values
+        assert b == H.coefficient(alpha).values
+        assert a != b
+    assert [alpha for alpha, _, _ in diffs] == sorted(
+        (alpha for alpha, _, _ in diffs), key=lambda a: (a.length, a.parts))
+
+
+def test_c7_coloring_complex_under_d7():
+    ground = tuple("abcdefg")
+    c7 = Graph(ground, frozenset(frozenset({ground[i], ground[(i + 1) % 7]})
+                                 for i in range(7)))
+    d7 = PermGroup((Permutation.from_cycles("(a b c d e f g)", ground),
+                    Permutation.from_cycles("(b g)(c f)(d e)", ground)))
+    assert d7.order == 14
+    phi = coloring_complex(c7, CHROM)
+    assert len(phi.faces) == 23646
+    assert phi.dimension == 5
+    assert verify_psi_equals_hilb(c7, CHROM, d7)["ok"]
 
 
 def test_sandwich_validation_rejects_missing_middle():

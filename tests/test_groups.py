@@ -147,6 +147,20 @@ def test_abelian_irreducibles_klein():
     assert all(all(v in (1, -1) for v in chi.values) for chi in irr)
 
 
+def test_abelian_irreducibles_are_cached_per_group():
+    g4 = PermGroup((Permutation.from_cycles("(a b d c)", ABCD),))
+    first = abelian_irreducibles(g4)
+    first.clear()
+    again = abelian_irreducibles(g4)
+    assert len(again) == 4
+    assert again is not abelian_irreducibles(g4)
+    # the cached characters are reused, not searched for again
+    assert all(a is b for a, b in zip(again, abelian_irreducibles(g4)))
+    fresh = PermGroup((Permutation.from_cycles("(a b d c)", ABCD),))
+    assert [chi.values for chi in abelian_irreducibles(fresh)] == [
+        chi.values for chi in again]
+
+
 def test_abelian_only():
     s3 = PermGroup((Permutation.from_cycles("(a b)", ("a", "b", "c")),
                     Permutation.from_cycles("(a b c)", ("a", "b", "c"))))
