@@ -39,6 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import comb, lcm
+from operator import itemgetter
 
 from .compositions import IntComposition, SetComposition, type_of
 from .errors import DomainError, ResourceCapError
@@ -398,16 +399,23 @@ def colorings_by_type(colorings, ground):
 
 
 def fixed_coloring_counts(colorings, group):
-    """Class function counting colorings fixed by each group element."""
+    """Class function counting colorings fixed by each group element.
+
+    A color tuple lists the colors of the sorted ground set, so g fixes it
+    when, at every position of a label x that g moves, the tuple holds the
+    same color as at the position of g(x).  Each element's positions are
+    found once; the identity moves nothing and fixes every coloring."""
     ground = group.ground
+    position = {x: i for i, x in enumerate(ground)}
     by_element = {}
     for g in group.elements:
-        cnt = 0
-        for values in colorings:
-            f = dict(zip(ground, values))
-            if all(f[g(x)] == f[x] for x in ground):
-                cnt += 1
-        by_element[g] = cnt
+        moved = [i for i, x in enumerate(ground) if g(x) != x]
+        if moved:
+            source = itemgetter(*moved)
+            target = itemgetter(*(position[g(ground[i])] for i in moved))
+            by_element[g] = sum(1 for values in colorings if source(values) == target(values))
+        else:
+            by_element[g] = len(colorings)
     return ClassFunction.from_element_values(group, by_element)
 
 

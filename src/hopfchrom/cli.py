@@ -88,6 +88,7 @@ def _write(result, args):
 def _job(args, need_char=True):
     if args.workers < 1:
         raise DomainError("workers must be at least 1, got %d" % args.workers)
+    jobio.check_colors(getattr(args, "colors", None))
     h, char, group, colors = jobio.read_job(args.input, group_cap=args.max_group_order)
     if need_char and char is None:
         raise DomainError("missing field 'character'")

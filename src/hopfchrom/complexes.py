@@ -374,7 +374,13 @@ def theta_certificate(phi, group, alpha, beta):
     lies inside the size set B of beta.  So a source face s lies inside a
     target face t exactly when s is the projection of t, its sub-chain of
     the members with sizes in A: each matrix row has at most one 1, in the
-    column of that projection, found by one dict lookup."""
+    column of that projection, found by one dict lookup.
+
+    The rank is taken of the distinct nonzero rows only, one unit row per
+    column that some target projects to.  A zero row adds nothing to the
+    row space and a repeated row adds nothing new, so the row space, and
+    with it the rank, is that of the full matrix.  Distinct unit rows give
+    one pivot each, so the elimination never subtracts."""
     if not refines(alpha, beta):
         raise DomainError("%s is not refined by %s" % (alpha, beta))
     if group.ground != phi.ground:
@@ -390,12 +396,18 @@ def theta_certificate(phi, group, alpha, beta):
 
     column = {s: j for j, s in enumerate(src)}
     zero = (0,) * len(src)
+    unit = {}  # column -> the one row with its 1 there
     rows = []
     for t in tgt:
         j = column.get(project(t))
-        rows.append(zero if j is None else zero[:j] + (1,) + zero[j + 1:])
+        if j is None:
+            rows.append(zero)
+        else:
+            if j not in unit:
+                unit[j] = zero[:j] + (1,) + zero[j + 1:]
+            rows.append(unit[j])
     matrix = tuple(rows)
-    rank = integer_matrix_rank(matrix)
+    rank = integer_matrix_rank(list(unit.values()))
     equi = _theta_equivariant(phi.ground, group, src, tgt, project)
     return EmbeddingCertificate(alpha, beta, len(src), len(tgt), matrix, rank, equi)
 

@@ -44,20 +44,29 @@ def _polydiv_exact(num, den):
     return out
 
 
-def _reduce(m, coeffs):
-    """Reduce a coefficient list modulo the m-th cyclotomic polynomial."""
+def reduce_mod_cyclotomic(m, coeffs):
+    """Reduce a polynomial in zeta_m, given by its coefficient list
+    (ascending, any length), to the power basis of length phi(m).
+
+    The m-th cyclotomic polynomial is monic with integer coefficients, so
+    the division only multiplies and subtracts: integer coefficients stay
+    integers and Fractions stay Fractions."""
     phi = cyclotomic_polynomial(m)
     deg = len(phi) - 1
-    cs = [Fraction(c) for c in coeffs]
+    cs = list(coeffs)
     for i in range(len(cs) - 1, deg - 1, -1):
         c = cs[i]
         if c:
-            for j in range(len(phi)):
+            for j in range(deg):
                 cs[i - deg + j] -= c * phi[j]
-        cs.pop()
-    while len(cs) < deg:
-        cs.append(Fraction(0))
-    return tuple(cs)
+    del cs[deg:]
+    cs.extend([0] * (deg - len(cs)))
+    return cs
+
+
+def _reduce(m, coeffs):
+    """Reduce a coefficient list modulo the m-th cyclotomic polynomial."""
+    return tuple(Fraction(c) for c in reduce_mod_cyclotomic(m, coeffs))
 
 
 @dataclass(frozen=True)

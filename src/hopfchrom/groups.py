@@ -12,13 +12,25 @@ Character-level comparison (effectiveness, the <= order on class functions)
 is implemented for abelian groups, whose irreducible characters are exactly
 the homomorphisms into roots of unity.  For nonabelian groups those
 operations raise UnsupportedGroupError rather than silently approximating.
+
+Each irreducible character of an abelian group of exponent m is kept as a
+row of integer exponents e with chi(g) = zeta_m^e(g), found by adding
+generator exponents mod m along the BFS tree.  A multiplicity
+<chi, theta> sums size * zeta^-e * theta over the classes; every term is
+a power of zeta times a rational, so the sum is collected in m rational
+buckets indexed by the power mod m and reduced once modulo the m-th
+cyclotomic polynomial.  Reduction is a ring homomorphism from
+Q[x]/(x^m - 1) onto Q(zeta_m), so this equals the Cyclo inner product
+term for term; ``inner_product`` keeps the Cyclo route for general class
+functions and for ``burnside_count``.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 from math import lcm
 
-from .cyclotomic import Cyclo, conj
+from .cyclotomic import Cyclo, conj, reduce_mod_cyclotomic
 from .errors import DomainError, ResourceCapError, UnsupportedGroupError, VerificationFailure
 
 GROUP_ORDER_CAP = 10080
@@ -192,7 +204,9 @@ class PermGroup:
         self.class_sizes = tuple(sizes)
         self.class_members = tuple(members)
         self._class_index = {x: assigned[i] for i, x in enumerate(elements)}
-        self._irreducibles = None  # filled by abelian_irreducibles
+        # filled by abelian_irreducibles: the characters and their exponent rows
+        self._irreducibles = None
+        self._character_exponents = None
 
     @property
     def order(self):
@@ -331,22 +345,33 @@ def abelian_irreducibles(group):
     Deterministic order: generator-exponent assignments are tried
     lexicographically and each new character is kept at first occurrence,
     so the trivial character always comes first.  The search runs once per
-    group and its result is kept on the group; every call returns a fresh
-    list of the (immutable) characters.
+    group and its result is kept on the group, both as the characters and
+    as their exponent rows (``group._character_exponents``: m and, per
+    character, the exponents e with chi = zeta_m^e, one per class); every
+    call returns a fresh list of the (immutable) characters.
     """
     if group._irreducibles is None:
-        group._irreducibles = tuple(_search_irreducibles(group))
+        m, rows = _search_irreducibles(group)
+        group._character_exponents = (m, rows)
+        group._irreducibles = tuple(
+            ClassFunction(group, tuple(Cyclo.root(m, e) for e in row)) for row in rows)
     return list(group._irreducibles)
 
 
 def _search_irreducibles(group):
+    """The exponent m and the exponent rows, in class order, of the
+    homomorphisms G -> Z/m.
+
+    Each generator of order o is sent to a multiple of m/o.  The exponents
+    are extended along the BFS discovery tree by addition mod m, and an
+    assignment is kept when it is additive on every product x * g."""
     if not group.is_abelian():
         raise UnsupportedGroupError(
             "irreducible characters are only enumerated for abelian groups")
     m = group.exponent()
     gens = group.generators
     if not gens:
-        return [ClassFunction.constant(group, Cyclo.from_rational(1, 1))]
+        return m, ((0,),)
     orders = [g.order() for g in gens]
     work = 1
     for o in orders:
@@ -354,54 +379,66 @@ def _search_irreducibles(group):
     if work > 10 ** 6:
         raise ResourceCapError("too many generator assignments (%d) for character search" % work)
 
+    index = group._elem_index
+    times = [[index[x * g] for g in gens] for x in group.elements]
     found = {}
-    assignment = [0] * len(orders)
-    while True:
-        roots = [Cyclo.root(m, (m // o) * t) for o, t in zip(orders, assignment)]
-        by_elem = _extend_to_group(group, roots)
-        if by_elem is not None and _is_homomorphism(group, roots, by_elem):
-            vals = tuple(by_elem[x] for x in group.elements)
-            if vals not in found:
-                found[vals] = ClassFunction.from_element_values(
-                    group, dict(zip(group.elements, vals)))
-        i = len(assignment) - 1
-        while i >= 0:
-            assignment[i] += 1
-            if assignment[i] < orders[i]:
-                break
-            assignment[i] = 0
-            i -= 1
-        if i < 0:
-            break
-    chars = list(found.values())
-    assert len(chars) == group.order, "character count %d != group order %d" % (
-        len(chars), group.order)
-    return chars
-
-
-def _extend_to_group(group, gen_values):
-    """Fill character values along the BFS discovery tree."""
-    vals = [None] * len(group.elements)
-    vals[0] = Cyclo.from_rational(group.exponent(), 1)
-    for i in range(1, len(group.elements)):
-        pi, gi = group._parents[i]
-        vals[i] = vals[pi] * gen_values[gi]
-    return dict(zip(group.elements, vals))
-
-
-def _is_homomorphism(group, gen_values, by_elem):
-    for x in group.elements:
-        vx = by_elem[x]
-        for g, vg in zip(group.generators, gen_values):
-            if by_elem[x * g] != vx * vg:
-                return False
-    return True
+    for assignment in product(*(range(o) for o in orders)):
+        steps = [(m // o) * t for o, t in zip(orders, assignment)]
+        exps = [0] * len(group.elements)
+        for i in range(1, len(exps)):
+            pi, gi = group._parents[i]
+            exps[i] = (exps[pi] + steps[gi]) % m
+        if all(exps[y] == (e + step) % m
+               for e, row in zip(exps, times) for y, step in zip(row, steps)):
+            found.setdefault(tuple(exps), None)
+    rows = tuple(tuple(exps[index[rep]] for rep in group.class_reps) for exps in found)
+    assert len(rows) == group.order, "character count %d != group order %d" % (
+        len(rows), group.order)
+    return m, rows
 
 
 def irreducible_multiplicities(theta):
-    """Multiplicity of each irreducible in a class function (abelian only)."""
-    chars = abelian_irreducibles(theta.group)
-    return [(chi, inner_product(chi, theta)) for chi in chars]
+    """Multiplicity of each irreducible in a class function (abelian only).
+
+    Equal to ``inner_product(chi, theta)`` for every character, computed
+    from the exponent rows: conj(zeta^e) = zeta^-e, so the sum over classes
+    of size * conj(chi) * theta is a polynomial in zeta = zeta_m whose
+    coefficient of x^k collects size * theta where -e (plus the power of a
+    Cyclo value of theta) is k mod m.  The map Q[x]/(x^m - 1) -> Q(zeta_m)
+    is a ring homomorphism, so filling these m buckets with integer or
+    Fraction additions and reducing once modulo the m-th cyclotomic
+    polynomial gives the exact sum.  A Cyclo is built only when the result
+    is not rational."""
+    group = theta.group
+    chars = abelian_irreducibles(group)
+    m, rows = group._character_exponents
+    terms = [[(k, size * c) for k, c in _power_terms(v, m)]
+             for size, v in zip(group.class_sizes, theta.values)]
+    out = []
+    for chi, row in zip(chars, rows):
+        buckets = [0] * m
+        for e, class_terms in zip(row, terms):
+            for k, c in class_terms:
+                buckets[(k - e) % m] += c
+        coeffs = reduce_mod_cyclotomic(m, buckets)
+        if any(coeffs[1:]):
+            value = Cyclo(m, tuple(Fraction(c, group.order) for c in coeffs))
+        else:
+            value = _as_exact(Fraction(coeffs[0], group.order))
+        out.append((chi, value))
+    return out
+
+
+def _power_terms(v, m):
+    """The nonzero pairs (k, c) with v = sum of c * zeta_m^k: the power
+    basis of a Cyclo of order m, or (0, v) for a rational value."""
+    if isinstance(v, Cyclo):
+        if v.order == m:
+            return [(k, c) for k, c in enumerate(v.coeffs) if c]
+        if not v.is_rational():
+            raise DomainError("mixed cyclotomic orders %d and %d" % (m, v.order))
+        v = v.rational_value()
+    return [(0, v)] if v else []
 
 
 def is_effective(theta):

@@ -106,10 +106,15 @@ def load_job(data, group_cap=GROUP_ORDER_CAP):
     if "character" in data:
         char = CharacterSpec.parse(data["character"])
     group = parse_group(data.get("group"), h.ground, cap=group_cap)
-    colors = data.get("colors")
+    return h, char, group, check_colors(data.get("colors"))
+
+
+def check_colors(colors):
+    """A color count, from the job field or the --colors flag: None or a
+    nonnegative integer."""
     if colors is not None and (not isinstance(colors, int) or colors < 0):
         raise DomainError("field 'colors' must be a nonnegative integer")
-    return h, char, group, colors
+    return colors
 
 
 def read_job(path, group_cap=GROUP_ORDER_CAP):

@@ -9,7 +9,8 @@ from hopfchrom.chromatic import (binomial_to_monomial, coloring_oracle,
                                  verify_flawless)
 from hopfchrom.compositions import IntComposition
 from hopfchrom.errors import DomainError, ResourceCapError
-from hopfchrom.groups import PermGroup, Permutation
+from hopfchrom.groups import ClassFunction, PermGroup, Permutation
+from hopfchrom.randgen import corpus
 from hopfchrom.structures import CharacterSpec, Graph
 
 C = IntComposition.parse
@@ -117,6 +118,43 @@ def test_oracle_agrees_with_polynomial(four_cycle, z4):
     assert len(cols) == 84
     fixed = fixed_coloring_counts(cols, z4)
     assert fixed.values == tuple(p.value_at(rep, 4) for rep in z4.class_reps)
+
+
+def _reference_fixed_counts(colorings, group):
+    """The former fixed_coloring_counts: one label dict per (coloring, element)."""
+    ground = group.ground
+    by_element = {}
+    for g in group.elements:
+        cnt = 0
+        for values in colorings:
+            f = dict(zip(ground, values))
+            if all(f[g(x)] == f[x] for x in ground):
+                cnt += 1
+        by_element[g] = cnt
+    return ClassFunction.from_element_values(group, by_element)
+
+
+def test_fixed_counts_match_reference_on_corpus():
+    checked = 0
+    for _, h, char, group in corpus():
+        n = max(len(h.ground), 1)
+        for k in sorted({min(2, n), n}):
+            cols = coloring_oracle(h, char, k)
+            got = fixed_coloring_counts(cols, group)
+            assert got.values == _reference_fixed_counts(cols, group).values
+            checked += any(got.values[1:])
+    assert checked > 50
+
+
+def test_fixed_counts_check_class_constancy():
+    ground = ("a", "b", "c")
+    s3 = PermGroup((Permutation.from_cycles("(a b)", ground),
+                    Permutation.from_cycles("(a b c)", ground)))
+    # (a b) fixes the coloring but the other transpositions move it
+    with pytest.raises(DomainError):
+        fixed_coloring_counts([(1, 1, 2)], s3)
+    with pytest.raises(DomainError):
+        _reference_fixed_counts([(1, 1, 2)], s3)
 
 
 def test_oracle_by_type(four_cycle):

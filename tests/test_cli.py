@@ -135,6 +135,17 @@ def test_exit_code_workers_below_one(tmp_path, command):
     assert json.loads(proc.stderr)["error"] == "domain"
 
 
+@pytest.mark.parametrize("command,colors", [("verify", "-1"), ("oracle", "-2")])
+def test_exit_code_negative_colors(tmp_path, command, colors):
+    job = _write_job(tmp_path, FOUR_CYCLE_JOB)
+    proc = _run([command, "--input", job, "--colors", colors])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    err = json.loads(proc.stderr)
+    assert err["error"] == "domain"
+    assert err["message"] == "field 'colors' must be a nonnegative integer"
+
+
 def test_workers_above_one_warns(tmp_path):
     job = _write_job(tmp_path, FOUR_CYCLE_JOB)
     proc = _run(["psi", "--input", job, "--workers", "2"])
