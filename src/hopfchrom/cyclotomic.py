@@ -176,15 +176,6 @@ class Cyclo:
         return "Cyclo(z%d: %s)" % (self.order, list(self.coeffs))
 
 
-def as_cyclo(value, m):
-    """Promote an int or Fraction (or a Cyclo of rational value) to order m."""
-    if isinstance(value, Cyclo):
-        if value.order == m:
-            return value
-        return Cyclo.from_rational(m, value.rational_value())
-    return Cyclo.from_rational(m, value)
-
-
 def conj(value):
     """Complex conjugate of an int, Fraction, or Cyclo."""
     if isinstance(value, Cyclo):

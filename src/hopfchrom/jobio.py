@@ -3,8 +3,9 @@
 A job file names a structure kind, the structure data, and optionally a
 character, a group (cycle strings or image maps), and a color count.
 Malformed fields raise DomainError naming the field.  Output dicts all
-carry schema "1" and are JSON-ready after json_ready (exact fractions
-and root-of-unity values become strings).
+carry schema "1" and go to dump as they are: exact values stay Fraction
+or Cyclo up to the encoder, which writes an integral Fraction as an int
+and any other exact value as its string.
 """
 
 import json
@@ -130,29 +131,6 @@ def read_job(path, group_cap=GROUP_ORDER_CAP):
 # output
 
 
-def json_ready(value):
-    """Recursively convert exact values to JSON-safe types."""
-    if isinstance(value, bool) or value is None or isinstance(value, str):
-        return value
-    if isinstance(value, int):
-        return value
-    if isinstance(value, (Fraction, Cyclo)):
-        if isinstance(value, Fraction) and value.denominator == 1:
-            return int(value)
-        return str(value)
-    if isinstance(value, dict):
-        return {json_ready_key(k): json_ready(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [json_ready(v) for v in value]
-    return str(value)
-
-
-def json_ready_key(key):
-    if isinstance(key, str):
-        return key
-    return str(key)
-
-
 def _count(v):
     if isinstance(v, int):
         return v
@@ -239,12 +217,25 @@ def certificate_to_json(cert):
         "n_source": cert.n_source,
         "n_target": cert.n_target,
         "rank": cert.rank,
-        "matrix": [list(r) for r in cert.matrix],
+        "matrix": cert.matrix,
         "equivariant": cert.equivariance_checked,
         "valid": cert.valid,
     }
 
 
+def _exact(value):
+    """Encoder hook for what json cannot write: an integral Fraction
+    becomes an int, any other value (a Fraction, a Cyclo) its string."""
+    if isinstance(value, Fraction) and value.denominator == 1:
+        return int(value)
+    return str(value)
+
+
 def dump(obj, stream):
-    json.dump(json_ready(obj), stream, indent=1, sort_keys=True)
+    """Write obj as sorted, indented JSON plus a newline, streaming.
+
+    Every dict key in obj is a string and no float reaches it: a key of
+    another type would be written by json's rules, not as its str, and a
+    float as a number, not as its str."""
+    json.dump(obj, stream, indent=1, sort_keys=True, default=_exact)
     stream.write("\n")

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from hopfchrom.cli import load_fixtures, main, run_fixture
+from hopfchrom.complexes import comparable_pairs
 
 FOUR_CYCLE_JOB = {
     "kind": "graph",
@@ -95,6 +96,31 @@ def test_verify_command(tmp_path):
     assert data["ok"]
     assert data["checks"]["oracle"]["total_colorings"] == 84
     assert data["checks"]["psi_equals_hilb"]["ok"]
+
+
+def test_verify_no_oracle(tmp_path):
+    job = _write_job(tmp_path, FOUR_CYCLE_JOB)
+    out = tmp_path / "v.json"
+    assert main(["verify", "--input", job, "--output", str(out), "--no-oracle"]) == 0
+    data = json.loads(out.read_text())
+    assert data["ok"]
+    assert data["checks"]["oracle"] == {"ok": True, "skipped": "oracle not run"}
+
+
+def test_certify_covering_pairs(tmp_path):
+    job = _write_job(tmp_path, FOUR_CYCLE_JOB)
+    pairs = {}
+    for choice in ("covering", "comparable"):
+        out = tmp_path / (choice + ".json")
+        assert main(["certify", "--input", job, "--output", str(out),
+                     "--pairs", choice]) == 0
+        pairs[choice] = json.loads(out.read_text())["pairs"]
+    want = [(str(a), str(b)) for a, b in comparable_pairs(4, covering_only=True)]
+    assert [(p["alpha"], p["beta"]) for p in pairs["covering"]] == want
+    comparable = {(p["alpha"], p["beta"]): p for p in pairs["comparable"]}
+    assert len(comparable) > len(want)
+    for p in pairs["covering"]:
+        assert p == comparable[(p["alpha"], p["beta"])]
 
 
 def test_oracle_command(tmp_path):

@@ -10,6 +10,7 @@ from hopfchrom.chromatic import psi
 from hopfchrom.compositions import Flag, IntComposition
 from hopfchrom.errors import DomainError
 from hopfchrom.groups import PermGroup, Permutation
+from hopfchrom.randgen import corpus
 from hopfchrom.structures import CharacterSpec, Graph
 
 C = IntComposition.parse
@@ -52,6 +53,28 @@ def test_balanced_convex_all_splitting_kinds(bowtie, four_cycle, mixed):
     assert check_balanced_convex(four_cycle, CHROM) is None
     assert check_balanced_convex(mixed, CharacterSpec("strong_mixed")) is None
     assert check_balanced_convex(mixed, CharacterSpec("weak_mixed")) is None
+
+
+@pytest.mark.parametrize("kind,section", [
+    ("poset", {"ok": True}),
+    ("hypergraph", {"ok": True, "skipped": "no splitting calculus for this kind"}),
+])
+def test_run_verification_walks_convexity_once(monkeypatch, kind, section):
+    from hopfchrom import complexes, verify
+    _, h, char, group = next(c for c in corpus() if c[1].kind == kind)
+    calls = []
+    real = complexes.check_balanced_convex
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(complexes, "check_balanced_convex", counted)
+    monkeypatch.setattr(verify, "check_balanced_convex", counted, raising=False)
+    report = verify.run_verification(h, char, group)
+    assert report["ok"]
+    assert len(calls) == 1
+    assert report["checks"]["balanced_convex"] == section
 
 
 def test_psi_equals_hilb(bowtie, four_cycle, mixed, z2, z4):
