@@ -19,7 +19,7 @@ from .complexes import (BalancedRelativeComplex, EmbeddingCertificate,
                         check_balanced_convex, coloring_complex,
                         comparable_pairs, flag_f_vector, hilb,
                         integer_matrix_rank, theta_certificate,
-                        verify_m_increasing, verify_psi_equals_hilb)
+                        verify_m_increasing)
 from .compositions import (Flag, IntComposition, SetComposition,
                            alpha_of_subset, compositions_of,
                            enumerate_set_compositions, flag_of, refines,
@@ -29,7 +29,7 @@ from .errors import (DomainError, ResourceCapError, UnsupportedGroupError,
                      VerificationFailure)
 from .groups import (ClassFunction, PermGroup, Permutation,
                      abelian_irreducibles, burnside_count, conjugacy_classes,
-                     generate_group, inner_product, irreducible_multiplicities,
+                     inner_product, irreducible_multiplicities,
                      is_effective, leq_char)
 from .structures import (CharacterSpec, DoublePoset, Graph, Hypergraph,
                          Matroid, MixedGraph, PointCollection, Poset,
@@ -52,7 +52,7 @@ __all__ = [
     "coloring_complex", "coloring_oracle", "colorings_by_composition",
     "colorings_by_type", "comparable_pairs", "compositions_of",
     "conjugacy_classes", "contract", "enumerate_set_compositions",
-    "fixed_coloring_counts", "flag_f_vector", "flag_of", "generate_group",
+    "fixed_coloring_counts", "flag_f_vector", "flag_of",
     "hilb", "inner_product", "integer_matrix_rank",
     "irreducible_multiplicities", "is_effective", "leq_char",
     "loday_associahedron", "make_double_poset", "make_poset",
@@ -60,5 +60,4 @@ __all__ = [
     "proper_compositions", "psi", "psi_polynomial", "refines", "restrict",
     "run_verification", "subset_of_alpha", "theta_certificate", "type_of",
     "type_of_flag", "verify_flawless", "verify_m_increasing",
-    "verify_psi_equals_hilb",
 ]

@@ -52,24 +52,14 @@ GROUND_CAP = 9
 ORACLE_GROUND_CAP = 8
 
 
-def proper_compositions(h, char, workers=1, max_ground=GROUND_CAP, masks=False):
+def proper_compositions(h, char, max_ground=GROUND_CAP, masks=False):
     """All proper set compositions of h for the character, sorted by length
     then blocks.  With masks=True they come as tuples of block bitmasks
-    (label i of the sorted ground set is bit i), in listing order.
-
-    workers is deprecated: the listing is serial, since a process pool
-    over first blocks measured slower than one process.  A value above 1
-    warns and is ignored; a value below 1 is a DomainError."""
+    (label i of the sorted ground set is bit i), in listing order."""
     char = check_compatible(h, char)
     n = len(h.ground)
     if n > max_ground:
         raise ResourceCapError("ground set size %d exceeds cap %d" % (n, max_ground))
-    if workers < 1:
-        raise DomainError("workers must be at least 1, got %d" % workers)
-    if workers > 1:
-        from warnings import warn
-        warn("workers is deprecated and ignored: proper compositions are listed "
-             "serially", FutureWarning, stacklevel=2)
     labels = _mask_labels(h.ground)
     table = _next_blocks(h, char, labels)
     found = _walk(table, len(table) - 1, table[-1])
@@ -225,7 +215,7 @@ class ClassQSym:
                 and self.group is other.group and self.coeffs == other.coeffs)
 
 
-def psi(h, char, group, workers=1, max_ground=GROUND_CAP):
+def psi(h, char, group, max_ground=GROUND_CAP):
     """The quasisymmetric class function of (h, char) under a group of
     automorphisms of h.  Every generator is checked; a non-automorphism is
     reported by name."""
@@ -237,8 +227,7 @@ def psi(h, char, group, workers=1, max_ground=GROUND_CAP):
         if not automorphism_check(h, g):
             raise DomainError("generator %s is not an automorphism of the structure"
                               % g.cycle_string())
-    propers = proper_compositions(h, char, workers=workers, max_ground=max_ground,
-                                  masks=True)
+    propers = proper_compositions(h, char, max_ground=max_ground, masks=True)
     elements = group.elements
     stable = _stabilizer_bits(h.ground, elements)
     everyone = (1 << len(elements)) - 1
@@ -308,12 +297,6 @@ class ClassPolynomial:
     def value_at(self, g, k):
         return sum(f(g) * comb(k, i) for i, f in enumerate(self.fvec))
 
-    def identity_binomial(self):
-        return [f.at_identity() for f in self.fvec]
-
-    def identity_monomial(self):
-        return binomial_to_monomial(self.identity_binomial())
-
 
 def psi_polynomial(X):
     """Collapse a ClassQSym along composition length."""
@@ -331,8 +314,12 @@ def orbital_psi(X):
 
 def orbital_polynomial(X):
     """Binomial-basis integer f-vector of the orbital invariant."""
-    orb = orbital_psi(X)
-    fvec = [0] * (X.degree + 1)
+    return orbit_f_vector(X.degree, orbital_psi(X))
+
+
+def orbit_f_vector(degree, orb):
+    """Orbit counts (composition -> count) summed by composition length."""
+    fvec = [0] * (degree + 1)
     for alpha, v in orb.items():
         fvec[alpha.length] += v
     return fvec

@@ -11,6 +11,7 @@ import json
 import os
 import sys
 import tempfile
+from warnings import warn
 
 from . import jobio
 from .chromatic import (GROUND_CAP, ORACLE_GROUND_CAP, binomial_to_monomial,
@@ -88,6 +89,9 @@ def _write(result, args):
 def _job(args, need_char=True):
     if args.workers < 1:
         raise DomainError("workers must be at least 1, got %d" % args.workers)
+    if args.workers > 1:
+        warn("--workers is deprecated and ignored: proper compositions are "
+             "listed serially", FutureWarning, stacklevel=2)
     jobio.check_colors(getattr(args, "colors", None))
     h, char, group, colors = jobio.read_job(args.input, group_cap=args.max_group_order)
     if need_char and char is None:
@@ -97,7 +101,7 @@ def _job(args, need_char=True):
 
 def cmd_psi(args):
     h, char, group, _ = _job(args)
-    X = psi(h, char, group, workers=args.workers, max_ground=args.max_ground)
+    X = psi(h, char, group, max_ground=args.max_ground)
     result = {"schema": jobio.SCHEMA, "command": "psi", "kind": h.kind,
               "character": str(char), "group": jobio.group_to_json(group)}
     result.update(jobio.qsym_to_json(X))
@@ -107,7 +111,7 @@ def cmd_psi(args):
 
 def cmd_orbital(args):
     h, char, group, _ = _job(args)
-    X = psi(h, char, group, workers=args.workers, max_ground=args.max_ground)
+    X = psi(h, char, group, max_ground=args.max_ground)
     orb = orbital_psi(X)
     result = {"schema": jobio.SCHEMA, "command": "orbital", "kind": h.kind,
               "character": str(char), "group": jobio.group_to_json(group),
@@ -120,7 +124,7 @@ def cmd_orbital(args):
 
 def cmd_poly(args):
     h, char, group, _ = _job(args)
-    X = psi(h, char, group, workers=args.workers, max_ground=args.max_ground)
+    X = psi(h, char, group, max_ground=args.max_ground)
     p = psi_polynomial(X)
     result = {"schema": jobio.SCHEMA, "command": "poly", "kind": h.kind,
               "character": str(char), "group": jobio.group_to_json(group)}
@@ -131,7 +135,7 @@ def cmd_poly(args):
 
 def cmd_orbital_poly(args):
     h, char, group, _ = _job(args)
-    X = psi(h, char, group, workers=args.workers, max_ground=args.max_ground)
+    X = psi(h, char, group, max_ground=args.max_ground)
     fvec = orbital_polynomial(X)
     mono = binomial_to_monomial(fvec)
     result = {"schema": jobio.SCHEMA, "command": "orbital-poly", "kind": h.kind,
@@ -146,12 +150,12 @@ def cmd_orbital_poly(args):
 
 def cmd_complex(args):
     h, char, group, _ = _job(args)
-    phi = coloring_complex(h, char, max_ground=args.max_ground, workers=args.workers)
+    phi = coloring_complex(h, char, max_ground=args.max_ground)
     fv = flag_f_vector(phi)
     result = {"schema": jobio.SCHEMA, "command": "complex", "kind": h.kind,
               "character": str(char), "ground": list(phi.ground),
               "dimension": phi.dimension,
-              "faces": jobio.flags_to_json(phi.faces),
+              "faces": jobio.flags_to_json(phi),
               "flag_f_vector": {",".join(map(str, k)): v
                                 for k, v in sorted(fv.items())}}
     H = hilb(phi, group)
@@ -163,7 +167,7 @@ def cmd_complex(args):
 
 def cmd_certify(args):
     h, char, group, _ = _job(args)
-    phi = coloring_complex(h, char, max_ground=args.max_ground, workers=args.workers)
+    phi = coloring_complex(h, char, max_ground=args.max_ground)
     n = len(h.ground)
     certs = []
     for a, b in comparable_pairs(n, covering_only=(args.pairs == "covering")):
@@ -180,8 +184,7 @@ def cmd_verify(args):
     h, char, group, colors = _job(args)
     k = args.colors if args.colors is not None else colors
     report = run_verification(h, char, group, k=k, max_ground=args.max_ground,
-                              include_oracle=not args.no_oracle,
-                              workers=args.workers)
+                              include_oracle=not args.no_oracle)
     report = {"schema": jobio.SCHEMA, "command": "verify", **report}
     _write(report, args)
     return 0 if report["ok"] else 1
@@ -192,6 +195,12 @@ def cmd_oracle(args):
     k = args.colors if args.colors is not None else colors
     if k is None:
         k = len(h.ground)
+    # k^n color tuples, at most as many as a job at the ground cap with one
+    # color per label (coloring_oracle checks the ground cap itself)
+    n, cap = len(h.ground), args.max_ground
+    if n <= cap < k and k ** n > cap ** cap:
+        raise ResourceCapError("oracle color cap exceeded: %d^%d tuples > %d^%d"
+                               % (k, n, cap, cap))
     cols = coloring_oracle(h, char, k, max_ground=args.max_ground, max_colors=k)
     fixed = fixed_coloring_counts(cols, group)
     result = {"schema": jobio.SCHEMA, "command": "oracle", "kind": h.kind,

@@ -5,9 +5,10 @@ A face is a flag (a strictly increasing chain of proper nonempty subsets
 of the ground set, possibly empty).  A balanced relative complex is a
 face set that is sandwich-closed (anything between two faces is a face),
 pure (every face extends to one of maximal size), and balanced (member
-sizes inside a face are distinct, which flags guarantee for free).  Each
-face is also kept as the tuple of its member bitmasks (label i of the
-sorted ground set is bit i), and the checks below work on those.
+sizes inside a face are distinct, which flags guarantee for free).  A
+face is kept only as its mask chain, the tuple of its member bitmasks
+(label i of the sorted ground set is bit i); labels appear only in JSON
+output and in error messages.
 
 coloring_complex builds the face set of all flags of proper compositions
 of a structure; for kinds with a splitting calculus the three convexity
@@ -21,8 +22,8 @@ equivalent to the scans over all faces.
 hilb packages fixed-face counts per size set into the same kind of
 quasisymmetric class function that psi produces, with the same rule: g
 fixes a flag exactly when it maps every member onto itself.  The two
-agree for coloring complexes, and verify_psi_equals_hilb checks that
-coefficient by coefficient.  theta_certificate certifies that
+agree for coloring complexes, and psi_hilb_diffs names every coefficient
+where they do not.  theta_certificate certifies that
 coarser-type faces embed into finer-type faces: a 0/1 incidence matrix
 (rows indexed by the finer faces) with full column rank, plus an
 equivariance check on the group generators.  Since flag members have
@@ -36,10 +37,13 @@ integer elimination; no floating point.
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import accumulate, combinations
+from operator import or_
 
 from .compositions import (Flag, IntComposition, alpha_of_subset,
                            compositions_of, refines, subset_of_alpha)
+# psi is not called here; it stays importable next to hilb, and
+# perfbench/test_perfbench.py checks its tracer rebinds this name
 from .chromatic import (GROUND_CAP, ClassQSym, _class_functions, _image_table,
                         _mask_labels, _stabilizer_bits, proper_compositions, psi)
 from .errors import DomainError, VerificationFailure
@@ -49,38 +53,43 @@ from .structures import (DIRECT_ONLY_KINDS, char_value, check_compatible,
 
 
 class BalancedRelativeComplex:
-    """A validated set of flag faces on a common ground set.
+    """A validated set of faces on a common ground set.
 
-    Alongside the Flag faces the complex keeps each face as its tuple of
-    member masks (label i of the sorted ground set is bit i), in chain
-    order; the checks, hilb and the certificates work on those."""
+    A face is a mask chain: the tuple of its member masks (label i of the
+    sorted ground set is bit i), in increasing order.  The constructor
+    takes Flags, or chains of label tuples checked as Flags, and keeps
+    only their mask chains; the checks, hilb and the certificates work on
+    those."""
 
     def __init__(self, ground, faces, validate=True):
-        self.ground = tuple(sorted(ground))
-        canon = set()
+        ground = tuple(sorted(ground))
+        bit = {x: 1 << i for i, x in enumerate(ground)}
+        chains = set()
         for f in faces:
             if not isinstance(f, Flag):
-                f = Flag(self.ground, tuple(f))
-            if f.ground != self.ground:
+                f = Flag(ground, tuple(f))
+            if f.ground != ground:
                 raise DomainError("face %s lives on a different ground set" % (f,))
-            canon.add(f)
-        self.faces = frozenset(canon)
-        bit = {x: 1 << i for i, x in enumerate(self.ground)}
-        mask_of = {}
-        for f in self.faces:
-            for s in f.chain:
-                if s not in mask_of:
-                    mask_of[s] = sum(bit[x] for x in s)
-        self._chains = {f: tuple(mask_of[s] for s in f.chain) for f in self.faces}
+            chains.add(tuple(sum(bit[x] for x in s) for s in f.chain))
+        self.ground, self.faces = ground, frozenset(chains)
         if validate:
             self._validate()
+
+    @classmethod
+    def _of_chains(cls, ground, chains):
+        """The validated complex whose faces are the given mask chains on
+        the sorted ground set, taken as they are."""
+        phi = cls.__new__(cls)
+        phi.ground, phi.faces = ground, frozenset(chains)
+        phi._validate()
+        return phi
 
     @property
     def dimension(self):
         """One less than the largest face size; -1 for the empty complex."""
         if not self.faces:
             return -1
-        return max(len(f.chain) for f in self.faces) - 1
+        return max(map(len, self.faces)) - 1
 
     def _validate(self):
         """Sandwich closure, then purity, on member masks.
@@ -99,8 +108,9 @@ class BalancedRelativeComplex:
         from the top faces, dropping one member at a time and passing only
         through faces.  With sandwich closure every chain between a face
         and a top face above it is a face, so the search reaches exactly
-        the faces below some top face."""
-        chains = set(self._chains.values())
+        the faces below some top face; the empty face, when present, is
+        always reached."""
+        chains = self.faces
         below = {}
 
         def face_below(sigma):
@@ -123,7 +133,7 @@ class BalancedRelativeComplex:
                     if rho is not None:
                         raise DomainError(
                             "sandwich violation: %s <= %s <= %s, middle face missing"
-                            % tuple(_chain_str(self._labels(c)) for c in (rho, sigma, tau)))
+                            % tuple(_chain_str(self.labels(c)) for c in (rho, sigma, tau)))
         if chains:
             top = max(map(len, chains))
             reached = frontier = {c for c in chains if len(c) == top}
@@ -132,42 +142,39 @@ class BalancedRelativeComplex:
                         & chains) - reached
                 reached |= frontier
             if len(reached) < len(chains):
-                face = min(f for f, c in self._chains.items() if c not in reached)
+                face = min(self.labels(c) for c in chains if c not in reached)
                 raise DomainError("purity violation: face %s extends to no %d-vertex face"
-                                  % (face, top))
+                                  % (_chain_str(face), top))
 
-    def _labels(self, chain):
-        return [tuple(x for i, x in enumerate(self.ground) if m >> i & 1) for m in chain]
+    def labels(self, chain):
+        """The members of a mask chain as sorted label tuples."""
+        return [self._label_table[m] for m in chain]
+
+    @cached_property
+    def _label_table(self):
+        return _mask_labels(self.ground)
 
     @cached_property
     def _types(self):
-        """kappa -> (faces of that size set sorted by chain, their member
-        masks in the same order)."""
+        """kappa -> the faces of that size set, in the order of their label
+        chains (the order of their Flags)."""
         out = {}
-        for f in sorted(self.faces, key=lambda f: f.chain):
-            out.setdefault(f.kappa, []).append(f)
-        return {k: (fs, [self._chains[f] for f in fs]) for k, fs in out.items()}
-
-    def by_kappa(self):
-        """Faces grouped by their size set."""
-        return {k: list(fs) for k, (fs, _) in self._types.items()}
-
-    def faces_of_type(self, alpha):
-        """Faces whose size set corresponds to the given composition."""
-        return list(self._of_type(alpha)[0])
+        for c in sorted(self.faces, key=self.labels):
+            out.setdefault(tuple(m.bit_count() for m in c), []).append(c)
+        return out
 
     def _of_type(self, alpha):
-        """(faces, member masks) of the size set of alpha, sorted by chain."""
+        """The faces of the size set of alpha, in label-chain order."""
         n = len(self.ground)
         if alpha.degree != n:
             raise DomainError("composition degree %d does not match ground size %d"
                               % (alpha.degree, n))
-        return self._types.get(tuple(sorted(subset_of_alpha(alpha))), ((), ()))
+        return self._types.get(tuple(sorted(subset_of_alpha(alpha))), ())
 
 
 def _chain_str(chain):
-    parts = sorted(chain, key=lambda s: (len(s), s))
-    return "<".join("{%s}" % ",".join(s) for s in parts) or "(empty)"
+    """A chain of label tuples as flag text, "(empty)" for the empty one."""
+    return "<".join("{%s}" % ",".join(s) for s in chain) or "(empty)"
 
 
 def check_balanced_convex(h, char):
@@ -215,29 +222,24 @@ def check_balanced_convex(h, char):
     return walk(h, [])
 
 
-def coloring_complex(h, char, max_ground=GROUND_CAP, workers=1):
+def coloring_complex(h, char, max_ground=GROUND_CAP):
     """The balanced relative complex of flags of proper compositions.
 
     For splitting kinds the character's convexity conditions are checked
     first and a violation raises with the witness; the built complex is
-    then validated structurally (sandwich, purity) in all cases."""
+    then validated structurally (sandwich, purity) in all cases.  The
+    flag of a composition is the chain of its prefix unions, the full
+    ground set dropped, taken straight from the kernel's block masks."""
     char = check_compatible(h, char)
     witness = check_balanced_convex(h, char)
     if witness is not None:
         raise VerificationFailure(
             "character %s is not balanced convex on this structure: %s"
             % (char, witness["detail"]), witness)
-    # the flag of a composition: its prefix unions, the full ground set dropped
-    labels = _mask_labels(h.ground)
-    faces = []
-    for comp in proper_compositions(h, char, workers=workers, max_ground=max_ground,
-                                    masks=True):
-        chain, acc = [], 0
-        for S in comp[:-1]:
-            acc |= S
-            chain.append(labels[acc])
-        faces.append(Flag(h.ground, tuple(chain)))
-    phi = BalancedRelativeComplex(h.ground, faces, validate=True)
+    # the kernel's listing is not kept: it is freed once its chains are taken
+    phi = BalancedRelativeComplex._of_chains(h.ground, (
+        tuple(accumulate(c[:-1], or_))
+        for c in proper_compositions(h, char, max_ground=max_ground, masks=True)))
     if phi.faces and phi.dimension != len(h.ground) - 2:
         raise VerificationFailure(
             "coloring complex has dimension %d, expected %d"
@@ -251,7 +253,7 @@ def flag_f_vector(phi):
     out = {}
     for k in range(n):
         for c in combinations(range(1, n), k):
-            out[c] = len(phi._types.get(c, ((), ()))[0])
+            out[c] = len(phi._types.get(c, ()))
     return out
 
 
@@ -260,8 +262,7 @@ def complex_automorphism_check(phi, g):
     flags, so the image of the face set is the face set exactly when it
     lies inside it; a member's image is read off g's mask image table."""
     img = _image_table(phi.ground, g)
-    chains = set(phi._chains.values())
-    return all(tuple(img[m] for m in c) in chains for c in chains)
+    return all(tuple(img[m] for m in c) in phi.faces for c in phi.faces)
 
 
 def hilb(phi, group):
@@ -284,7 +285,7 @@ def hilb(phi, group):
     stable = _stabilizer_bits(phi.ground, group.elements)
     everyone = (1 << group.order) - 1
     tallies = {}
-    for kappa, (_, chains) in phi._types.items():
+    for kappa, chains in phi._types.items():
         tally = tallies[alpha_of_subset(set(kappa), n)] = {}
         for c in chains:
             fixers = everyone
@@ -304,15 +305,6 @@ def psi_hilb_diffs(X, H):
         if a != b:
             out.append((alpha, a, b))
     return out
-
-
-def verify_psi_equals_hilb(h, char, group, max_ground=GROUND_CAP):
-    """Compare the two routes coefficient by coefficient."""
-    X = psi(h, char, group, max_ground=max_ground)
-    phi = coloring_complex(h, char, max_ground=max_ground)
-    diffs = [{"alpha": str(alpha), "psi": list(a), "hilb": list(b)}
-             for alpha, a, b in psi_hilb_diffs(X, hilb(phi, group))]
-    return {"ok": not diffs, "diffs": diffs}
 
 
 # ---------------------------------------------------------------------------
@@ -386,8 +378,8 @@ def theta_certificate(phi, group, alpha, beta):
     if group.ground != phi.ground:
         raise DomainError("group acts on %r, complex lives on %r"
                           % (group.ground, phi.ground))
-    _, src = phi._of_type(alpha)
-    _, tgt = phi._of_type(beta)
+    src = phi._of_type(alpha)
+    tgt = phi._of_type(beta)
     sizes_a = subset_of_alpha(alpha)
     keep = [i for i, k in enumerate(sorted(subset_of_alpha(beta))) if k in sizes_a]
 

@@ -170,6 +170,21 @@ class Cyclo:
             return hash(self.rational_value())
         return hash((self.order, self.coeffs))
 
+    def __str__(self):
+        """Exact text: a rational value as its Fraction ("3", "1/2"), any
+        other as its power-basis sum in GAP's E(m) notation, constant term
+        first ("-1-E(3)" for zeta_3^2, "1/2*E(5)+E(5)^3")."""
+        if self.is_rational():
+            return str(self.rational_value())
+        terms = []
+        for j, c in enumerate(self.coeffs):
+            if c:
+                root = "E(%d)" % self.order + ("^%d" % j if j > 1 else "")
+                terms.append(str(c) if j == 0 else root if c == 1 else
+                             "-" + root if c == -1 else "%s*%s" % (c, root))
+        # a term holds no "+", and a "-" only as its sign
+        return "+".join(terms).replace("+-", "-")
+
     def __repr__(self):
         if self.is_rational():
             return "Cyclo(%s)" % (self.rational_value(),)

@@ -234,10 +234,6 @@ class PermGroup:
         return lcm(*(x.order() for x in self.elements)) if self.elements else 1
 
 
-def generate_group(generators, ground=None, cap=GROUP_ORDER_CAP):
-    return PermGroup(generators, ground=ground, cap=cap)
-
-
 def conjugacy_classes(group):
     """The (representative, size) pairs in canonical class order."""
     return list(zip(group.class_reps, group.class_sizes))

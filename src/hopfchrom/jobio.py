@@ -11,11 +11,10 @@ and any other exact value as its string.
 import json
 from fractions import Fraction
 
-from .chromatic import ClassQSym
-from .compositions import IntComposition
+from .chromatic import binomial_to_monomial
 from .cyclotomic import Cyclo
 from .errors import DomainError
-from .groups import GROUP_ORDER_CAP, ClassFunction, PermGroup, Permutation
+from .groups import GROUP_ORDER_CAP, PermGroup, Permutation
 from .structures import (CharacterSpec, DoublePoset, Graph, Hypergraph,
                          Matroid, MixedGraph, PointCollection,
                          SimplicialComplex, make_double_poset, make_poset)
@@ -191,7 +190,6 @@ def poly_to_json(p):
     for idx in range(len(p.group.class_reps)):
         per_class.append([_count(f.values[idx]) for f in p.fvec])
     identity = [_count(f.at_identity()) for f in p.fvec]
-    from .chromatic import binomial_to_monomial
     mono = binomial_to_monomial(identity)
     return {
         "degree": p.degree,
@@ -203,11 +201,11 @@ def poly_to_json(p):
     }
 
 
-def flags_to_json(faces):
-    out = []
-    for f in sorted(faces, key=lambda f: (len(f.chain), f.chain)):
-        out.append(["{%s}" % ",".join(m) for m in f.chain])
-    return out
+def flags_to_json(phi):
+    """The faces of a complex as flag member texts, sorted by length and
+    then by label chain."""
+    chains = sorted(map(phi.labels, phi.faces), key=lambda ch: (len(ch), ch))
+    return [["{%s}" % ",".join(m) for m in ch] for ch in chains]
 
 
 def certificate_to_json(cert):

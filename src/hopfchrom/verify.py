@@ -12,7 +12,7 @@ names the exact place it happened.
 """
 
 from .chromatic import (ORACLE_GROUND_CAP, coloring_oracle,
-                        fixed_coloring_counts, orbital_polynomial, orbital_psi,
+                        fixed_coloring_counts, orbit_f_vector, orbital_psi,
                         psi, psi_polynomial, verify_flawless)
 from .complexes import (coloring_complex, hilb, psi_hilb_diffs,
                         verify_m_increasing)
@@ -22,7 +22,7 @@ VERIFY_GROUND_CAP = 8
 
 
 def run_verification(h, char, group, k=None, max_ground=VERIFY_GROUND_CAP,
-                     certify="comparable", include_oracle=True, workers=1):
+                     certify="comparable", include_oracle=True):
     """Full conformance report; every check that can fail is a section.
 
     Convexity is walked once, inside coloring_complex, which raises
@@ -32,9 +32,10 @@ def run_verification(h, char, group, k=None, max_ground=VERIFY_GROUND_CAP,
     has returned, passes: {"ok": True} for splitting kinds, the skipped
     text for direct-only kinds, which have no convexity conditions.
 
-    A non-integral or negative orbit count raises VerificationFailure
-    from orbital_polynomial (exit 1 on the command line) before the
-    burnside section is built; the section checks the bound
+    The orbit counts, computed once, feed the orbital f-vector and the
+    burnside section.  A non-integral or negative one raises
+    VerificationFailure from orbital_psi (exit 1 on the command line)
+    before the burnside section is built; the section checks the bound
     0 <= count <= identity coefficient."""
     char = check_compatible(h, char)
     n = len(h.ground)
@@ -46,8 +47,8 @@ def run_verification(h, char, group, k=None, max_ground=VERIFY_GROUND_CAP,
     }
     checks = report["checks"]
 
-    X = psi(h, char, group, workers=workers, max_ground=max_ground)
-    phi = coloring_complex(h, char, max_ground=max_ground, workers=workers)
+    X = psi(h, char, group, max_ground=max_ground)
+    phi = coloring_complex(h, char, max_ground=max_ground)
     if h.kind in DIRECT_ONLY_KINDS:
         checks["balanced_convex"] = {"ok": True, "skipped": "no splitting calculus for this kind"}
     else:
@@ -76,12 +77,12 @@ def run_verification(h, char, group, k=None, max_ground=VERIFY_GROUND_CAP,
         checks["flawless_class"] = verify_flawless(poly)
     else:
         checks["flawless_class"] = {"ok": True, "skipped": "class-level order needs an abelian group"}
-    ofvec = orbital_polynomial(X)
+    orb = orbital_psi(X)
+    ofvec = orbit_f_vector(n, orb)
     checks["flawless_orbital"] = verify_flawless(ofvec)
     checks["flawless_orbital"]["f_vector"] = ofvec
 
     burnside = {"ok": True, "orbit_counts": {}}
-    orb = orbital_psi(X)
     for alpha in sorted(orb, key=lambda a: (a.length, a.parts)):
         v = orb[alpha]
         ident = X.coefficient(alpha).at_identity()

@@ -42,21 +42,6 @@ def test_proper_compositions_triangle():
     assert len(comps) == 6
 
 
-def test_worker_determinism(four_cycle):
-    one = proper_compositions(four_cycle, CHROM, workers=1)
-    with pytest.warns(FutureWarning, match="deprecated"):
-        two = proper_compositions(four_cycle, CHROM, workers=2)
-    with pytest.warns(FutureWarning, match="deprecated"):
-        three = proper_compositions(four_cycle, CHROM, workers=3)
-    assert one == two == three
-
-
-@pytest.mark.parametrize("workers", [0, -1])
-def test_workers_below_one_rejected(four_cycle, workers):
-    with pytest.raises(DomainError):
-        proper_compositions(four_cycle, CHROM, workers=workers)
-
-
 def test_ground_cap():
     big = Graph(tuple("abcdefghij"), frozenset())
     with pytest.raises(ResourceCapError):

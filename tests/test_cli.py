@@ -179,6 +179,17 @@ def test_workers_above_one_warns(tmp_path):
     assert "FutureWarning" in proc.stderr and "deprecated" in proc.stderr
 
 
+def test_oracle_color_cap(tmp_path, capsys):
+    """k^n color tuples may not exceed max_ground^max_ground: 5^4 > 4^4."""
+    job = _write_job(tmp_path, FOUR_CYCLE_JOB)
+    argv = ["oracle", "--input", job, "--max-ground", "4", "--output", str(tmp_path / "o")]
+    assert main(argv + ["--colors", "5"]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "resource_cap"
+    assert err["message"] == "oracle color cap exceeded: 5^4 tuples > 4^4"
+    assert main(argv + ["--colors", "4"]) == 0
+
+
 def test_max_ground_override(tmp_path):
     job = {"kind": "graph",
            "structure": {"vertices": list("abcde"),

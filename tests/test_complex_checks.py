@@ -1,24 +1,48 @@
 """Differential tests of the mask-based checks in complexes against the
 code they replaced, kept here as the references: the scan over all faces
 for sandwich closure and purity, the dense pair-by-pair incidence matrix
-with its per-(source, target) equivariance test, and hilb counted with
-act_flag on every face."""
+with its per-(source, target) equivariance test, hilb counted with
+act_flag on every face, and the faces built as one Flag per proper
+composition and written out in Flag order."""
 
 import random
 from itertools import combinations
 
-from hopfchrom.chromatic import ClassQSym
+from hopfchrom.chromatic import ClassQSym, proper_compositions
 from hopfchrom.complexes import (BalancedRelativeComplex, coloring_complex,
                                  comparable_pairs, complex_automorphism_check,
                                  hilb, integer_matrix_rank, theta_certificate)
-from hopfchrom.compositions import (act_flag, alpha_of_subset, compositions_of,
-                                    enumerate_set_compositions, flag_of)
+from hopfchrom.compositions import (Flag, act_flag, alpha_of_subset, compositions_of,
+                                    enumerate_set_compositions, flag_of,
+                                    subset_of_alpha)
 from hopfchrom.errors import DomainError
 from hopfchrom.groups import ClassFunction, PermGroup, Permutation
+from hopfchrom.jobio import flags_to_json
 from hopfchrom.randgen import corpus
-from hopfchrom.structures import CharacterSpec
+from hopfchrom.structures import CharacterSpec, Graph
 
 CORPUS = corpus()
+
+
+def _flags(phi):
+    """The faces of phi as Flags, sorted: the form the complex kept them in
+    before it kept mask chains only."""
+    ground = phi.ground
+    return sorted(Flag(ground, tuple(tuple(x for i, x in enumerate(ground) if m >> i & 1)
+                                     for m in c))
+                  for c in phi.faces)
+
+
+def _flags_of_type(phi, alpha):
+    kappa = tuple(sorted(subset_of_alpha(alpha)))
+    return [f for f in _flags(phi) if f.kappa == kappa]
+
+
+def _flags_by_kappa(phi):
+    out = {}
+    for f in _flags(phi):
+        out.setdefault(f.kappa, []).append(f)
+    return out
 
 
 def _reference_verdict(faces):
@@ -66,8 +90,8 @@ def _reference_equivariant(group, src, tgt):
 
 def _reference_theta(phi, group, alpha, beta):
     """(matrix, rank, equivariant) from dense pair-by-pair inclusion tests."""
-    src = phi.faces_of_type(alpha)
-    tgt = phi.faces_of_type(beta)
+    src = _flags_of_type(phi, alpha)
+    tgt = _flags_of_type(phi, beta)
     matrix = tuple(tuple(1 if set(s.chain) <= set(t.chain) else 0 for s in src)
                    for t in tgt)
     return matrix, integer_matrix_rank(matrix), _reference_equivariant(group, src, tgt)
@@ -76,7 +100,7 @@ def _reference_theta(phi, group, alpha, beta):
 def _reference_hilb(phi, group):
     n = len(phi.ground)
     coeffs = {}
-    for kappa, faces in phi.by_kappa().items():
+    for kappa, faces in _flags_by_kappa(phi).items():
         by_element = {g: sum(1 for f in faces if act_flag(g, f) == f)
                       for g in group.elements}
         coeffs[alpha_of_subset(set(kappa), n)] = ClassFunction.from_element_values(
@@ -85,7 +109,8 @@ def _reference_hilb(phi, group):
 
 
 def _reference_automorphism(phi, g):
-    return frozenset(act_flag(g, f) for f in phi.faces) == phi.faces
+    flags = frozenset(_flags(phi))
+    return frozenset(act_flag(g, f) for f in flags) == flags
 
 
 def _theta_pairs(n):
@@ -115,7 +140,7 @@ def test_corpus_complexes_match_references():
     for name, h, char, group in CORPUS:
         phi = coloring_complex(h, char)
         built += 1
-        assert _reference_verdict(phi.faces) is None, name
+        assert _reference_verdict(_flags(phi)) is None, name
         assert hilb(phi, group) == _reference_hilb(phi, group), name
         for g in group.elements + _transpositions(phi.ground):
             assert complex_automorphism_check(phi, g) == _reference_automorphism(phi, g), name
@@ -189,7 +214,7 @@ def test_theta_with_non_automorphism_generator(bowtie):
     moved_off = 0
     verdicts = set()
     for a, b in _theta_pairs(len(phi.ground)):
-        tgt = phi.faces_of_type(b)
+        tgt = _flags_of_type(phi, b)
         moved_off += {act_flag(swap, t) for t in tgt} != set(tgt)
         cert = theta_certificate(phi, group, a, b)
         want = _reference_theta(phi, group, a, b)
@@ -198,3 +223,58 @@ def test_theta_with_non_automorphism_generator(bowtie):
     assert moved_off
     assert verdicts == {True, False}
 
+
+
+def _mask_chain(ground, flag):
+    bit = {x: 1 << i for i, x in enumerate(ground)}
+    return tuple(sum(bit[x] for x in s) for s in flag.chain)
+
+
+def _reference_faces_json(flags):
+    """The former jobio.flags_to_json, on Flags."""
+    return [["{%s}" % ",".join(m) for m in f.chain]
+            for f in sorted(flags, key=lambda f: (len(f.chain), f.chain))]
+
+
+def _check_faces(h, char):
+    """The faces of the coloring complex are the mask chains of the flags
+    of the proper compositions, one each, and they are written out in the
+    order of those Flags."""
+    phi = coloring_complex(h, char)
+    flags = [flag_of(c) for c in proper_compositions(h, char)]
+    assert len(phi.faces) == len(flags)
+    assert phi.faces == {_mask_chain(h.ground, f) for f in flags}
+    assert flags_to_json(phi) == _reference_faces_json(flags)
+
+
+def test_corpus_faces_match_flag_route():
+    for name, h, char, group in CORPUS:
+        _check_faces(h, char)
+
+
+def test_c7_faces_match_flag_route():
+    ground = tuple("abcdefg")
+    c7 = Graph(ground, frozenset(frozenset({ground[i], ground[(i + 1) % 7]})
+                                 for i in range(7)))
+    _check_faces(c7, CharacterSpec("chromatic"))
+
+
+def test_complex_route_builds_no_flags(monkeypatch, bowtie, z2):
+    built = []
+    check = Flag.__post_init__
+
+    def counted(self):
+        built.append(self)
+        check(self)
+
+    monkeypatch.setattr(Flag, "__post_init__", counted)
+    phi = coloring_complex(bowtie, CharacterSpec("chromatic"))
+    assert not built
+    hilb(phi, z2)
+    for a, b in _theta_pairs(len(phi.ground)):
+        theta_certificate(phi, z2, a, b)
+    flags_to_json(phi)
+    assert not built
+    # the counter sees the Flags of the public constructor
+    BalancedRelativeComplex(phi.ground, [(("a",),)])
+    assert len(built) == 1

@@ -4,12 +4,11 @@ from hopfchrom.complexes import (BalancedRelativeComplex,
                                  check_balanced_convex, coloring_complex,
                                  comparable_pairs, flag_f_vector, hilb,
                                  integer_matrix_rank, psi_hilb_diffs,
-                                 theta_certificate, verify_m_increasing,
-                                 verify_psi_equals_hilb)
-from hopfchrom.chromatic import psi
+                                 theta_certificate, verify_m_increasing)
+from hopfchrom.chromatic import ClassQSym, psi
 from hopfchrom.compositions import Flag, IntComposition
-from hopfchrom.errors import DomainError
-from hopfchrom.groups import PermGroup, Permutation
+from hopfchrom.errors import DomainError, VerificationFailure
+from hopfchrom.groups import ClassFunction, PermGroup, Permutation
 from hopfchrom.randgen import corpus
 from hopfchrom.structures import CharacterSpec, Graph
 
@@ -77,12 +76,42 @@ def test_run_verification_walks_convexity_once(monkeypatch, kind, section):
     assert report["checks"]["balanced_convex"] == section
 
 
+def test_run_verification_counts_orbits_once(monkeypatch, bowtie, z2):
+    from hopfchrom import chromatic, verify
+    calls = []
+    real = chromatic.orbital_psi
+
+    def counted(X):
+        calls.append(X)
+        return real(X)
+
+    monkeypatch.setattr(chromatic, "orbital_psi", counted)
+    monkeypatch.setattr(verify, "orbital_psi", counted)
+    report = verify.run_verification(bowtie, CHROM, z2)
+    assert report["ok"]
+    assert len(calls) == 1
+    assert report["checks"]["flawless_orbital"]["f_vector"] == \
+        chromatic.orbital_polynomial(calls[0])
+
+
+def test_run_verification_non_integral_orbit_count_raises(monkeypatch, bowtie, z2):
+    """Values (1, 0) on Z2 average to 1/2: run_verification raises before
+    the burnside section is built."""
+    from hopfchrom import verify
+    X = psi(bowtie, CHROM, z2)
+    bad = ClassQSym(X.degree, z2, dict(X.coeffs))
+    bad.coeffs[C("1,1,1,1")] = ClassFunction(z2, (1, 0))
+    monkeypatch.setattr(verify, "psi", lambda *args, **kwargs: bad)
+    with pytest.raises(VerificationFailure, match="orbit count Fraction.1, 2. is not"):
+        verify.run_verification(bowtie, CHROM, z2)
+
+
 def test_psi_equals_hilb(bowtie, four_cycle, mixed, z2, z4):
     for h, char, grp in ((bowtie, ZETA, z2), (bowtie, CHROM, z2),
                          (four_cycle, CHROM, z4),
                          (mixed, CharacterSpec("weak_mixed"), z2)):
-        rep = verify_psi_equals_hilb(h, char, grp)
-        assert rep["ok"], rep
+        diffs = psi_hilb_diffs(psi(h, char, grp), hilb(coloring_complex(h, char), grp))
+        assert diffs == [], diffs
 
 
 def test_psi_hilb_diffs_names_each_differing_coefficient(bowtie, z2):
@@ -109,7 +138,7 @@ def test_c7_coloring_complex_under_d7():
     phi = coloring_complex(c7, CHROM)
     assert len(phi.faces) == 23646
     assert phi.dimension == 5
-    assert verify_psi_equals_hilb(c7, CHROM, d7)["ok"]
+    assert psi_hilb_diffs(psi(c7, CHROM, d7), hilb(phi, d7)) == []
 
 
 def test_sandwich_validation_rejects_missing_middle():
@@ -130,6 +159,24 @@ def test_purity_validation():
     # unvalidated construction is allowed for negative controls
     bad = BalancedRelativeComplex(ground, faces, validate=False)
     assert len(bad.faces) == 2
+
+
+@pytest.mark.parametrize("ground,chains,message", [
+    (("a", "b", "c"), [(), (("a",), ("a", "b"))],
+     "sandwich violation: (empty) <= {a,b} <= {a}<{a,b}, middle face missing"),
+    (ABCD, [(("b",),), (("b",), ("b", "c"), ("a", "b", "c"))],
+     "sandwich violation: {b} <= {b}<{a,b,c} <= {b}<{b,c}<{a,b,c}, middle face missing"),
+    (("a", "b", "c"), [(("a",),), (("b",), ("a", "b"))],
+     "purity violation: face {a} extends to no 2-vertex face"),
+    (("x1", "x2", "y"), [(("x2",),), (("x1",), ("x1", "y"))],
+     "purity violation: face {x2} extends to no 2-vertex face"),
+], ids=["sandwich-empty", "sandwich-top", "purity", "purity-labels"])
+def test_validation_messages(ground, chains, message):
+    """The messages name their chains in flag text, as when faces were
+    kept as Flags."""
+    with pytest.raises(DomainError) as exc:
+        BalancedRelativeComplex(ground, [Flag(ground, c) for c in chains])
+    assert str(exc.value) == message
 
 
 def test_theta_certificate_on_bowtie(bowtie, z2):

@@ -130,3 +130,17 @@ def test_exact_values():
     assert data["integral"] == 2 and data["fraction"] == "-1/2"
     assert data["cyclo_integral"] == str(details["cyclo_integral"])
     assert data["cyclo"] == str(irrational)
+
+
+def test_cyclo_text():
+    """A rational Cyclo prints as its Fraction, any other as its power-basis
+    sum in GAP's E(m) notation, and jobio.dump writes those strings."""
+    values = [Cyclo.from_rational(4, 3), Cyclo.from_rational(6, Fraction(1, 2)),
+              Cyclo.root(3), Cyclo.root(3, 2), Cyclo.root(4, 3),
+              Cyclo.root(3) + Fraction(1, 2),
+              Cyclo(5, (0, Fraction(-1, 2), 0, 1)) * 2 + Cyclo.root(5, 2)]
+    assert [str(v) for v in values] == [
+        "3", "1/2", "E(3)", "-1-E(3)", "-E(4)", "1/2+E(3)", "-E(5)+E(5)^2+2*E(5)^3"]
+    assert _bytes(DUMP, {"details": values}) == (
+        b'{\n "details": [\n  "3",\n  "1/2",\n  "E(3)",\n  "-1-E(3)",\n  "-E(4)",\n'
+        b'  "1/2+E(3)",\n  "-E(5)+E(5)^2+2*E(5)^3"\n ]\n}\n')

@@ -57,13 +57,6 @@ def test_engine_matches_direct_predicate(g):
     assert engine == brute
 
 
-@settings(max_examples=15, deadline=None)
-@given(graphs())
-def test_worker_determinism_random(g):
-    assert (proper_compositions(g, CHROM, workers=1)
-            == proper_compositions(g, CHROM, workers=2))
-
-
 @given(st.permutations(tuple("abcd")), st.permutations(tuple("abcd")), st.data())
 def test_act_is_an_action(im1, im2, data):
     ground = tuple("abcd")
