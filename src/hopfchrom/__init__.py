@@ -11,10 +11,10 @@ coloring oracle for cross-checking.  No floats anywhere.
 """
 
 from .chromatic import (ClassPolynomial, ClassQSym, binomial_to_monomial,
-                        coloring_oracle, colorings_by_composition,
-                        colorings_by_type, fixed_coloring_counts,
-                        orbital_polynomial, orbital_psi, proper_compositions,
-                        psi, psi_polynomial, verify_flawless)
+                        coloring_oracle, colorings_by_type,
+                        fixed_coloring_counts, orbital_polynomial,
+                        orbital_psi, proper_compositions, psi,
+                        psi_polynomial, verify_flawless)
 from .complexes import (BalancedRelativeComplex, EmbeddingCertificate,
                         check_balanced_convex, coloring_complex,
                         comparable_pairs, flag_f_vector, hilb,
@@ -49,8 +49,8 @@ __all__ = [
     "UnsupportedGroupError", "VerificationFailure", "abelian_irreducibles",
     "alpha_of_subset", "automorphisms", "binomial_to_monomial",
     "burnside_count", "char_value", "check_balanced_convex",
-    "coloring_complex", "coloring_oracle", "colorings_by_composition",
-    "colorings_by_type", "comparable_pairs", "compositions_of",
+    "coloring_complex", "coloring_oracle", "colorings_by_type",
+    "comparable_pairs", "compositions_of",
     "conjugacy_classes", "contract", "enumerate_set_compositions",
     "fixed_coloring_counts", "flag_f_vector", "flag_of",
     "hilb", "inner_product", "integer_matrix_rank",

@@ -41,12 +41,11 @@ from itertools import product
 from math import comb, lcm
 from operator import itemgetter
 
-from .compositions import IntComposition, SetComposition, type_of
+from .compositions import IntComposition, SetComposition
 from .errors import DomainError, ResourceCapError
-from .groups import (ClassFunction, Permutation, burnside_count, leq_char)
-from .structures import (CharacterSpec, automorphism_check, char_value, check_compatible,
-                         contract, level_set_composition, proper_coloring,
-                         restrict, split_is_zero)
+from .groups import ClassFunction, burnside_count, leq_char
+from .structures import (automorphism_check, char_value, check_compatible,
+                         coloring_test, contract, restrict, split_is_zero)
 
 GROUND_CAP = 9
 ORACLE_GROUND_CAP = 8
@@ -347,42 +346,29 @@ def binomial_to_monomial(fvec):
 # brute-force oracle
 
 
-def coloring_oracle(h, char, k, max_ground=ORACLE_GROUND_CAP, max_colors=None):
-    """All proper colorings with colors 1..k, by direct per-kind predicate.
+def coloring_oracle(h, char, k, max_ground=ORACLE_GROUND_CAP):
+    """All proper colorings with colors 1..k, as color tuples aligned with
+    the sorted ground set, by the predicate of coloring_test, built once.
 
-    Returns color tuples aligned with the sorted ground set.  Capped
-    because the search is k^n."""
-    char = check_compatible(h, char)
-    n = len(h.ground)
-    if n > max_ground:
-        raise ResourceCapError("oracle ground cap exceeded: %d > %d" % (n, max_ground))
-    cap_colors = max_colors if max_colors is not None else max(n, 1)
-    if k > cap_colors:
-        raise ResourceCapError("oracle color cap exceeded: %d > %d" % (k, cap_colors))
-    out = []
-    for values in product(range(1, k + 1), repeat=n):
-        f = dict(zip(h.ground, values))
-        if proper_coloring(h, char, f):
-            out.append(values)
-    return out
+    The search is k^n, so one rule caps it: n <= max_ground and k^n <=
+    max_ground^max_ground.  As k^n < 2^(n bits(k)) and cap^cap >=
+    2^(cap (bits(cap) - 1)), bit lengths settle most k without raising a
+    large cap to its own power."""
+    proper = coloring_test(h, char)
+    n, cap = len(h.ground), max_ground
+    if n > cap:
+        raise ResourceCapError("oracle ground cap exceeded: %d > %d" % (n, cap))
+    if n * k.bit_length() > cap * (cap.bit_length() - 1) and k ** n > cap ** cap:
+        raise ResourceCapError("oracle color cap exceeded: %d^%d tuples > %d^%d"
+                               % (k, n, cap, cap))
+    return [c for c in product(range(1, k + 1), repeat=n) if proper(c)]
 
 
-def colorings_by_composition(colorings, ground):
-    """Group color tuples by their level-set set composition."""
-    ground = tuple(sorted(ground))
-    out = Counter()
-    for values in colorings:
-        out[level_set_composition(dict(zip(ground, values)), ground)] += 1
-    return dict(out)
-
-
-def colorings_by_type(colorings, ground):
-    """Group color tuples by monomial type (composition of the degree)."""
-    by_comp = colorings_by_composition(colorings, ground)
-    out = Counter()
-    for comp, cnt in by_comp.items():
-        out[type_of(comp)] += cnt
-    return dict(out)
+def colorings_by_type(colorings):
+    """Count color tuples by monomial type: the sizes of their color
+    classes in increasing color order (the level-set composition's type)."""
+    sizes = Counter(tuple(m for _, m in sorted(Counter(c).items())) for c in colorings)
+    return {IntComposition(parts): cnt for parts, cnt in sizes.items()}
 
 
 def fixed_coloring_counts(colorings, group):

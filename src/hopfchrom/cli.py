@@ -7,6 +7,7 @@ sorted and worker count never changes bytes.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -64,7 +65,8 @@ def build_parser():
 
     p = sub.add_parser("verify", help="full conformance report")
     _add_common(p, VERIFY_GROUND_CAP)
-    p.add_argument("--colors", type=int, help="oracle color count (default: ground size)")
+    p.add_argument("--colors", type=int,
+                   help="oracle color count (default: job field, else ground size)")
     p.add_argument("--no-oracle", action="store_true", help="skip the brute-force oracle")
 
     p = sub.add_parser("oracle", help="brute-force proper colorings")
@@ -195,19 +197,13 @@ def cmd_oracle(args):
     k = args.colors if args.colors is not None else colors
     if k is None:
         k = len(h.ground)
-    # k^n color tuples, at most as many as a job at the ground cap with one
-    # color per label (coloring_oracle checks the ground cap itself)
-    n, cap = len(h.ground), args.max_ground
-    if n <= cap < k and k ** n > cap ** cap:
-        raise ResourceCapError("oracle color cap exceeded: %d^%d tuples > %d^%d"
-                               % (k, n, cap, cap))
-    cols = coloring_oracle(h, char, k, max_ground=args.max_ground, max_colors=k)
+    cols = coloring_oracle(h, char, k, max_ground=args.max_ground)
     fixed = fixed_coloring_counts(cols, group)
     result = {"schema": jobio.SCHEMA, "command": "oracle", "kind": h.kind,
               "character": str(char), "colors": k,
               "total": len(cols),
               "by_type": {str(t): c for t, c in sorted(
-                  colorings_by_type(cols, h.ground).items(),
+                  colorings_by_type(cols).items(),
                   key=lambda kv: (kv[0].length, kv[0].parts))},
               "fixed_by_class": [
                   {"rep": rep.cycle_string(), "size": size, "count": jobio._count(v)}
@@ -312,8 +308,14 @@ COMMANDS = {
 }
 
 
+@functools.cache
+def _parser():
+    """The argument parser, built on the first main call of a process."""
+    return build_parser()
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return COMMANDS[args.command](args)
     except VerificationFailure as exc:

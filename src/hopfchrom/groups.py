@@ -329,7 +329,7 @@ def burnside_count(cf):
     v = inner_product(ClassFunction.constant(cf.group, 1), cf)
     if not isinstance(v, int) or v < 0:
         raise VerificationFailure(
-            "orbit count %r is not a nonnegative integer" % (v,),
+            "orbit count %s is not a nonnegative integer" % (v,),
             {"values": list(cf.values)})
     return v
 

@@ -23,16 +23,16 @@ Supported names and the kinds they apply to:
 
 proper_composition decides whether a set composition is proper (peeling
 blocks left to right through nonzero splits, the character equal to 1 on
-every restricted block), and proper_coloring gives the equivalent direct
-test on colorings: a coloring is proper exactly when its level-set
-composition is.
+every restricted block), and coloring_test builds the equivalent direct
+test on color tuples aligned with the sorted ground set: a coloring is
+proper exactly when its level-set composition (the color classes in
+increasing color order) is.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from .compositions import SetComposition
 from .errors import DomainError, ResourceCapError
 from .groups import Permutation
 
@@ -527,77 +527,74 @@ def _unique_argmax(points, w):
 # colorings
 
 
-def level_set_composition(f, ground):
-    """Level sets of a coloring, ordered by increasing color."""
-    ground = tuple(sorted(ground))
-    by_color = {}
-    for x in ground:
-        if x not in f:
-            raise DomainError("coloring misses label %r" % (x,))
-        c = f[x]
-        by_color.setdefault(c, []).append(x)
-    blocks = tuple(tuple(by_color[c]) for c in sorted(by_color))
-    return SetComposition(blocks)
+def coloring_test(h, char):
+    """The direct properness test of colorings for (h, char), as a
+    predicate on color tuples c, where c[i] colors h.ground[i].
 
-
-def proper_coloring(h, char, f):
-    """Direct properness test of a coloring f (a map label -> integer).
-
-    Equivalent to proper_composition on the level-set composition; stated
-    independently per kind and character so the two routes can be checked
-    against each other.
-    """
+    The character is checked and the kind dispatched once, here; the
+    per-kind statements read edges, relations, bases, hyperedges and big
+    faces as tuples of positions.  Stated independently of
+    proper_composition, so the two routes can be checked against each
+    other."""
     char = check_compatible(h, char)
     name = char.name
+    at = {x: i for i, x in enumerate(h.ground)}
+
+    def positions(items):
+        return tuple(tuple(at[x] for x in item) for item in items)
+
+    if name == "zeta" and h.kind in ("graph", "matroid", "simplicial_complex"):
+        return lambda c: True
     if h.kind == "graph":
-        if name == "zeta":
-            return True
-        return all(f[a] != f[b] for e in h.edges for a, b in [tuple(e)])
+        edges = positions(h.edges)
+        return lambda c: all(c[a] != c[b] for a, b in edges)
     if h.kind == "poset":
+        less = positions(h.less)
         if name == "zeta":
-            return all(f[a] <= f[b] for a, b in h.less)
-        return all(f[a] < f[b] for a, b in h.less)
+            return lambda c: all(c[a] <= c[b] for a, b in less)
+        return lambda c: all(c[a] < c[b] for a, b in less)
     if h.kind == "matroid":
-        if name == "zeta":
-            return True
-        return _unique_min_basis(h, f)
+        bases = positions(h.bases)
+        return lambda c: _unique_min_basis(bases, c)
     if h.kind == "mixed_graph":
+        und, arcs = positions(h.undirected), positions(h.directed)
         if name == "zeta":
-            return all(f[u] <= f[v] for u, v in h.directed)
-        ok_und = all(f[a] != f[b] for e in h.undirected for a, b in [tuple(e)])
+            return lambda c: all(c[u] <= c[v] for u, v in arcs)
         if name == "weak_mixed":
-            return ok_und and all(f[u] <= f[v] for u, v in h.directed)
-        return ok_und and all(f[u] < f[v] for u, v in h.directed)
+            return lambda c: (all(c[a] != c[b] for a, b in und)
+                              and all(c[u] <= c[v] for u, v in arcs))
+        return lambda c: (all(c[a] != c[b] for a, b in und)
+                          and all(c[u] < c[v] for u, v in arcs))
     if h.kind == "double_poset":
-        ok1 = all(f[a] <= f[b] for a, b in h.less1)
+        less1, less2 = positions(h.less1), set(positions(h.less2))
         if name == "zeta":
-            return ok1
-        return ok1 and all(
-            not (f[a] == f[b] and (b, a) in h.less2) for a, b in h.less1)
+            return lambda c: all(c[a] <= c[b] for a, b in less1)
+        return lambda c: (all(c[a] <= c[b] for a, b in less1) and all(
+            not (c[a] == c[b] and (b, a) in less2) for a, b in less1))
     if h.kind == "hypergraph":
-        for e in h.edges:
-            top = max(f[x] for x in e)
-            if sum(1 for x in e if f[x] == top) != 1:
-                return False
-        return True
+        # every edge has a unique top color
+        edges = positions(h.edges)
+        return lambda c: all([c[x] for x in e].count(max(c[x] for x in e)) == 1
+                             for e in edges)
     if h.kind == "simplicial_complex":
-        if name == "zeta":
-            return True
-        for face in h.faces:
-            if len(face) > char.s and len({f[x] for x in face}) == 1:
-                return False
-        return True
+        big = positions(f for f in h.faces if len(f) > char.s)
+        return lambda c: all(len({c[x] for x in face}) != 1 for face in big)
     if h.kind == "gen_permutohedron":
-        w = tuple(f[x] for x in h.ground)
-        return _unique_argmax(h.points, w)
+        return lambda c: _unique_argmax(h.points, c)
     raise AssertionError("unhandled kind %s" % h.kind)
 
 
-def _unique_min_basis(m, f):
-    """Whether exactly one basis has minimum total weight under f."""
+def proper_coloring(h, char, f):
+    """Direct properness test of a coloring f (a map label -> integer);
+    the dict form of coloring_test."""
+    return coloring_test(h, char)(tuple(f[x] for x in h.ground))
+
+
+def _unique_min_basis(bases, c):
+    """Whether exactly one basis (positions) has minimum total weight under c."""
     best, count = None, 0
-    for b in m.bases:
-        v = sum(f[x] for x in b)
+    for b in bases:
+        v = sum(c[x] for x in b)
         if best is None or v < best:
             best, count = v, 1
         elif v == best:

@@ -53,14 +53,14 @@ def _stamp(num, label, t0=None, budget=1.0, note=""):
 def _oracle_type_counts_by_class(h, char, k, group):
     """For each conjugacy class: level-set-type counts of the proper
     colorings fixed by the representative."""
-    colorings = coloring_oracle(h, char, k, max_colors=k)
+    colorings = coloring_oracle(h, char, k)
     ground = tuple(sorted(h.ground))
     out = []
     for rep in group.class_reps:
         fixed = [v for v in colorings
                  if all(dict(zip(ground, v))[rep(x)] == dict(zip(ground, v))[x]
                         for x in ground)]
-        out.append({str(t): n for t, n in colorings_by_type(fixed, ground).items()})
+        out.append({str(t): n for t, n in colorings_by_type(fixed).items()})
     return out
 
 

@@ -1,4 +1,6 @@
+from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -7,11 +9,13 @@ from hopfchrom.chromatic import (binomial_to_monomial, coloring_oracle,
                                  orbital_polynomial, orbital_psi,
                                  proper_compositions, psi, psi_polynomial,
                                  verify_flawless)
-from hopfchrom.compositions import IntComposition
+from hopfchrom import chromatic, structures
+from hopfchrom.compositions import IntComposition, SetComposition, type_of
 from hopfchrom.errors import DomainError, ResourceCapError
 from hopfchrom.groups import ClassFunction, PermGroup, Permutation
 from hopfchrom.randgen import corpus
-from hopfchrom.structures import CharacterSpec, Graph
+from hopfchrom.structures import (CharacterSpec, Graph, _unique_argmax,
+                                  check_compatible, coloring_test)
 
 C = IntComposition.parse
 ZETA = CharacterSpec("zeta")
@@ -145,16 +149,128 @@ def test_fixed_counts_check_class_constancy():
 def test_oracle_by_type(four_cycle):
     cols = coloring_oracle(four_cycle, CHROM, 2)
     assert len(cols) == 2
-    by_type = colorings_by_type(cols, four_cycle.ground)
+    by_type = colorings_by_type(cols)
     assert by_type == {C("2,2"): 2}
 
 
+def _reference_proper_coloring(h, char, f):
+    """The former structures.proper_coloring: the per-kind statements on a
+    label dict, with check_compatible and the dispatch run on every call."""
+    char = check_compatible(h, char)
+    name = char.name
+    if h.kind == "graph":
+        if name == "zeta":
+            return True
+        return all(f[a] != f[b] for e in h.edges for a, b in [tuple(e)])
+    if h.kind == "poset":
+        if name == "zeta":
+            return all(f[a] <= f[b] for a, b in h.less)
+        return all(f[a] < f[b] for a, b in h.less)
+    if h.kind == "matroid":
+        if name == "zeta":
+            return True
+        best, count = None, 0
+        for b in h.bases:
+            v = sum(f[x] for x in b)
+            if best is None or v < best:
+                best, count = v, 1
+            elif v == best:
+                count += 1
+        return count == 1
+    if h.kind == "mixed_graph":
+        if name == "zeta":
+            return all(f[u] <= f[v] for u, v in h.directed)
+        ok_und = all(f[a] != f[b] for e in h.undirected for a, b in [tuple(e)])
+        if name == "weak_mixed":
+            return ok_und and all(f[u] <= f[v] for u, v in h.directed)
+        return ok_und and all(f[u] < f[v] for u, v in h.directed)
+    if h.kind == "double_poset":
+        ok1 = all(f[a] <= f[b] for a, b in h.less1)
+        if name == "zeta":
+            return ok1
+        return ok1 and all(
+            not (f[a] == f[b] and (b, a) in h.less2) for a, b in h.less1)
+    if h.kind == "hypergraph":
+        for e in h.edges:
+            top = max(f[x] for x in e)
+            if sum(1 for x in e if f[x] == top) != 1:
+                return False
+        return True
+    if h.kind == "simplicial_complex":
+        if name == "zeta":
+            return True
+        for face in h.faces:
+            if len(face) > char.s and len({f[x] for x in face}) == 1:
+                return False
+        return True
+    if h.kind == "gen_permutohedron":
+        return _unique_argmax(h.points, tuple(f[x] for x in h.ground))
+    raise AssertionError("unhandled kind %s" % h.kind)
+
+
+def _reference_colorings_by_type(colorings, ground):
+    """The former colorings_by_type: the type of each tuple's level-set
+    set composition, built through SetComposition."""
+    out = Counter()
+    for values in colorings:
+        by_color = {}
+        for x, c in zip(ground, values):
+            by_color.setdefault(c, []).append(x)
+        comp = SetComposition(tuple(tuple(by_color[c]) for c in sorted(by_color)))
+        out[type_of(comp)] += 1
+    return dict(out)
+
+
+def test_oracle_path_matches_reference_on_corpus():
+    """The positional predicate, the oracle and the type counts agree with
+    the dict-based references on every color tuple of every corpus case
+    at k = 1, 2 and n."""
+    cases, tuples = corpus(), 0
+    for _, h, char, _ in cases:
+        n = len(h.ground)
+        proper = coloring_test(h, char)
+        for k in sorted({1, 2, n}):
+            want = []
+            for c in product(range(1, k + 1), repeat=n):
+                ok = _reference_proper_coloring(h, char, dict(zip(h.ground, c)))
+                assert proper(c) == ok, (h, char, c)
+                if ok:
+                    want.append(c)
+            tuples += k ** n
+            got = coloring_oracle(h, char, k)
+            assert got == want
+            assert colorings_by_type(got) == _reference_colorings_by_type(got, h.ground)
+    assert len(cases) == 192 and tuples > 60000
+
+
+def test_oracle_checks_the_character_once(monkeypatch, four_cycle):
+    calls = []
+
+    def counting(h, char):
+        calls.append(char)
+        return check_compatible(h, char)
+
+    monkeypatch.setattr(structures, "check_compatible", counting)
+    monkeypatch.setattr(chromatic, "check_compatible", counting)
+    assert len(coloring_oracle(four_cycle, CHROM, 3)) == 18
+    assert len(calls) == 1
+
+
 def test_oracle_caps(four_cycle):
-    with pytest.raises(ResourceCapError):
-        coloring_oracle(four_cycle, CHROM, 9)
+    """One rule: n <= max_ground and k^n <= max_ground^max_ground."""
     # the cycle's coloring count is (k-1)^4 + (k-1)
-    cols = coloring_oracle(four_cycle, CHROM, 5, max_colors=5)
-    assert len(cols) == 260
+    assert len(coloring_oracle(four_cycle, CHROM, 5)) == 260
+    assert len(coloring_oracle(four_cycle, CHROM, 9)) == 4104
+    with pytest.raises(ResourceCapError, match=r"^oracle color cap exceeded: 9\^4 tuples > 4\^4$"):
+        coloring_oracle(four_cycle, CHROM, 9, max_ground=4)
+    assert len(coloring_oracle(four_cycle, CHROM, 4, max_ground=4)) == 84
+    with pytest.raises(ResourceCapError, match=r"^oracle ground cap exceeded: 4 > 3$"):
+        coloring_oracle(four_cycle, CHROM, 1, max_ground=3)
+    # at the boundary: 16^2 tuples = 4^4 are allowed, 17^2 are not
+    edge = Graph(("a", "b"), frozenset({frozenset("ab")}))
+    assert len(coloring_oracle(edge, CHROM, 16, max_ground=4)) == 16 * 15
+    with pytest.raises(ResourceCapError, match=r"^oracle color cap exceeded: 17\^2 tuples > 4\^4$"):
+        coloring_oracle(edge, CHROM, 17, max_ground=4)
 
 
 def test_flawless_reports():

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from hopfchrom import cli
 from hopfchrom.cli import load_fixtures, main, run_fixture
 from hopfchrom.complexes import comparable_pairs
 
@@ -188,6 +189,39 @@ def test_oracle_color_cap(tmp_path, capsys):
     assert err["error"] == "resource_cap"
     assert err["message"] == "oracle color cap exceeded: 5^4 tuples > 4^4"
     assert main(argv + ["--colors", "4"]) == 0
+
+
+def test_verify_and_oracle_share_the_color_cap(tmp_path, capsys):
+    """verify runs the oracle under the rule of oracle: k^n <= cap^cap."""
+    job = _write_job(tmp_path, FOUR_CYCLE_JOB)
+    out = str(tmp_path / "v.json")
+    assert main(["verify", "--input", job, "--output", out, "--colors", "5"]) == 0
+    with open(out) as fh:
+        assert json.load(fh)["checks"]["oracle"]["total_colorings"] == 260
+    messages = []
+    for command in ("verify", "oracle"):
+        assert main([command, "--input", job, "--output", out,
+                     "--max-ground", "4", "--colors", "5"]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "resource_cap"
+        messages.append(err["message"])
+    assert messages == ["oracle color cap exceeded: 5^4 tuples > 4^4"] * 2
+
+
+def test_parser_built_once_per_process(tmp_path, monkeypatch):
+    build, builds = cli.build_parser, []
+
+    def counting():
+        builds.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    job = _write_job(tmp_path, FOUR_CYCLE_JOB)
+    for name in ("a.json", "b.json"):
+        assert main(["psi", "--input", job, "--output", str(tmp_path / name)]) == 0
+    assert len(builds) == 1
+    cli._parser.cache_clear()
 
 
 def test_max_ground_override(tmp_path):

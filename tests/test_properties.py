@@ -72,7 +72,7 @@ def test_oracle_count_is_polynomial_value(g, k):
     triv = PermGroup((Permutation.identity(g.ground),))
     X = psi(g, CHROM, triv)
     p = psi_polynomial(X)
-    cols = coloring_oracle(g, CHROM, k, max_colors=4)
+    cols = coloring_oracle(g, CHROM, k)
     assert len(cols) == p.value_at(triv.elements[0], k)
 
 
