@@ -25,14 +25,14 @@ fixes a flag exactly when it maps every member onto itself.  The two
 agree for coloring complexes, and psi_hilb_diffs names every coefficient
 where they do not.  theta_certificate certifies that
 coarser-type faces embed into finer-type faces: a 0/1 incidence matrix
-(rows indexed by the finer faces) with full column rank, plus an
-equivariance check on the group generators.  Since flag members have
-distinct sizes, a coarser face lies in a finer one exactly when it is
-the finer face's projection to the coarser sizes, so each row has at
-most one 1 and is built by a lookup; since permutations keep inclusion,
-equivariance is decided by the chains a generator moves into or out of
-the finer faces, none for an automorphism.  Rank is computed by exact
-integer elimination; no floating point.
+(rows: finer faces) of full column rank, plus generator equivariance.
+Flag members have distinct sizes, so a coarser face lies in a finer one
+exactly when it is the finer face's projection to the coarser sizes:
+each row has at most one 1, and the certificate keeps that projection
+map.  Its rank is that of the distinct hits as sparse unit rows (exact
+integer elimination, no division).  Permutations keep inclusion, so
+equivariance is read off the faces each generator moves, computed once
+per complex and generator, none for an automorphism.
 """
 
 from dataclasses import dataclass
@@ -71,7 +71,7 @@ class BalancedRelativeComplex:
             if f.ground != ground:
                 raise DomainError("face %s lives on a different ground set" % (f,))
             chains.add(tuple(sum(bit[x] for x in s) for s in f.chain))
-        self.ground, self.faces = ground, frozenset(chains)
+        self.ground, self.faces, self._moved = ground, frozenset(chains), {}
         if validate:
             self._validate()
 
@@ -80,7 +80,7 @@ class BalancedRelativeComplex:
         """The validated complex whose faces are the given mask chains on
         the sorted ground set, taken as they are."""
         phi = cls.__new__(cls)
-        phi.ground, phi.faces = ground, frozenset(chains)
+        phi.ground, phi.faces, phi._moved = ground, frozenset(chains), {}
         phi._validate()
         return phi
 
@@ -171,6 +171,21 @@ class BalancedRelativeComplex:
                               % (alpha.degree, n))
         return self._types.get(tuple(sorted(subset_of_alpha(alpha))), ())
 
+    def _moves(self, g):
+        """kappa -> the faces of size set kappa in faces ^ g(faces), kept
+        per ground permutation g.  g is injective on chains, so g(faces) is
+        the face set exactly when it lies inside it: for an automorphism
+        one short-circuit pass over the faces, with no image set built,
+        gives no moves."""
+        if g not in self._moved:
+            img = _image_table(self.ground, g)
+            moves = {}
+            if not all(tuple(img[m] for m in c) in self.faces for c in self.faces):
+                for c in self.faces ^ {tuple(img[m] for m in c) for c in self.faces}:
+                    moves.setdefault(tuple(m.bit_count() for m in c), set()).add(c)
+            self._moved[g] = moves
+        return self._moved[g]
+
 
 def _chain_str(chain):
     """A chain of label tuples as flag text, "(empty)" for the empty one."""
@@ -258,11 +273,9 @@ def flag_f_vector(phi):
 
 
 def complex_automorphism_check(phi, g):
-    """Whether a ground permutation maps faces to faces.  g is injective on
-    flags, so the image of the face set is the face set exactly when it
-    lies inside it; a member's image is read off g's mask image table."""
-    img = _image_table(phi.ground, g)
-    return all(tuple(img[m] for m in c) in phi.faces for c in phi.faces)
+    """Whether a ground permutation maps faces to faces: exactly when g
+    moves no face into or out of the face set."""
+    return not phi._moves(g)
 
 
 def hilb(phi, group):
@@ -313,16 +326,16 @@ def psi_hilb_diffs(X, H):
 
 @dataclass
 class EmbeddingCertificate:
-    """Witness that faces of the coarser type embed equivariantly into
-    faces of the finer type: full column rank of the incidence matrix
-    (rows: finer faces, columns: coarser faces) plus generator
-    equivariance."""
+    """Witness that coarser-type faces embed equivariantly into finer-type
+    faces: full column rank of the incidence matrix (rows: finer faces,
+    columns: coarser faces) plus generator equivariance.  A row has at
+    most one 1 (theta_certificate): hits[i] is its column, or None."""
 
     alpha: IntComposition
     beta: IntComposition
     n_source: int
     n_target: int
-    matrix: tuple
+    hits: tuple
     rank: int
     equivariance_checked: bool
 
@@ -330,33 +343,34 @@ class EmbeddingCertificate:
     def valid(self):
         return self.rank == self.n_source and self.equivariance_checked
 
+    @property
+    def matrix(self):
+        """The dense 0/1 rows; equal rows are one shared tuple."""
+        zero = (0,) * self.n_source
+        unit = {j: zero[:j] + (1,) + zero[j + 1:] for j in set(self.hits) - {None}}
+        return tuple(unit.get(j, zero) for j in self.hits)
+
 
 def integer_matrix_rank(rows):
-    """Exact rank by multiply-and-subtract integer elimination (no
-    division, no floating point; rows are scaled by the pivot)."""
-    m = [list(r) for r in rows]
-    if not m or not m[0]:
-        return 0
-    nr, nc = len(m), len(m[0])
-    rank = 0
-    for col in range(nc):
-        piv = None
-        for r in range(rank, nr):
-            if m[r][col] != 0:
-                piv = r
+    """Exact rank of sparse integer rows (mappings column -> entry) by
+    multiply-and-subtract elimination: no division, no floating point.
+    Pivots have distinct leading columns, so they are independent.  A row
+    whose leading column j has a pivot p becomes p[j] * row - row[j] * p,
+    which spans the same space with p (p[j] != 0) and leads further right;
+    so each row ends as a new pivot or as zero."""
+    pivots = {}  # leading column -> the pivot row
+    for row in rows:
+        row = {j: v for j, v in row.items() if v}
+        while row:
+            lead = min(row)
+            piv = pivots.get(lead)
+            if piv is None:
+                pivots[lead] = row
                 break
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        pivot = m[rank][col]
-        for r in range(rank + 1, nr):
-            if m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [pivot * a - factor * b for a, b in zip(m[r], m[rank])]
-        rank += 1
-        if rank == min(nr, nc):
-            break
-    return rank
+            a, b = piv[lead], row[lead]
+            row = {j: v for j in row.keys() | piv.keys()
+                   if (v := a * row.get(j, 0) - b * piv.get(j, 0))}
+    return len(pivots)
 
 
 def theta_certificate(phi, group, alpha, beta):
@@ -366,13 +380,13 @@ def theta_certificate(phi, group, alpha, beta):
     lies inside the size set B of beta.  So a source face s lies inside a
     target face t exactly when s is the projection of t, its sub-chain of
     the members with sizes in A: each matrix row has at most one 1, in the
-    column of that projection, found by one dict lookup.
+    column of that projection, its hit, found by one dict lookup.
 
-    The rank is taken of the distinct nonzero rows only, one unit row per
-    column that some target projects to.  A zero row adds nothing to the
-    row space and a repeated row adds nothing new, so the row space, and
-    with it the rank, is that of the full matrix.  Distinct unit rows give
-    one pivot each, so the elimination never subtracts."""
+    The rank is taken of the distinct hits only, one unit row {j: 1} each.
+    A zero row adds nothing to the row space and a repeated row adds
+    nothing new, so the row space, and with it the rank, is that of the
+    full matrix.  Distinct unit rows have distinct leading columns, so
+    each becomes a pivot and the elimination never subtracts."""
     if not refines(alpha, beta):
         raise DomainError("%s is not refined by %s" % (alpha, beta))
     if group.ground != phi.ground:
@@ -380,31 +394,20 @@ def theta_certificate(phi, group, alpha, beta):
                           % (group.ground, phi.ground))
     src = phi._of_type(alpha)
     tgt = phi._of_type(beta)
-    sizes_a = subset_of_alpha(alpha)
-    keep = [i for i, k in enumerate(sorted(subset_of_alpha(beta))) if k in sizes_a]
+    kappa = tuple(sorted(subset_of_alpha(beta)))
+    keep = [i for i, k in enumerate(kappa) if k in subset_of_alpha(alpha)]
 
     def project(t):
         return tuple(t[i] for i in keep)
 
     column = {s: j for j, s in enumerate(src)}
-    zero = (0,) * len(src)
-    unit = {}  # column -> the one row with its 1 there
-    rows = []
-    for t in tgt:
-        j = column.get(project(t))
-        if j is None:
-            rows.append(zero)
-        else:
-            if j not in unit:
-                unit[j] = zero[:j] + (1,) + zero[j + 1:]
-            rows.append(unit[j])
-    matrix = tuple(rows)
-    rank = integer_matrix_rank(list(unit.values()))
-    equi = _theta_equivariant(phi.ground, group, src, tgt, project)
-    return EmbeddingCertificate(alpha, beta, len(src), len(tgt), matrix, rank, equi)
+    hits = tuple(column.get(project(t)) for t in tgt)
+    rank = integer_matrix_rank({j: 1} for j in dict.fromkeys(hits) if j is not None)
+    equi = _theta_equivariant(phi, group, src, kappa, project)
+    return EmbeddingCertificate(alpha, beta, len(src), len(tgt), hits, rank, equi)
 
 
-def _theta_equivariant(ground, group, src, tgt, project):
+def _theta_equivariant(phi, group, src, kappa, project):
     """Whether, for every generator g and source face s, the targets above
     g(s) are exactly the images g(t) of the targets t above s.
 
@@ -412,13 +415,12 @@ def _theta_equivariant(ground, group, src, tgt, project):
     of the targets above s are the members of g(tgt) above g(s), and the
     test asks that tgt and g(tgt) hold the same chains above g(s).  It
     fails exactly when some chain in the symmetric difference of tgt and
-    g(tgt) has its projection in g(src).  For an automorphism the
-    difference is empty, and one pass over the targets settles g."""
-    targets = set(tgt)
+    g(tgt) has its projection in g(src).  g keeps sizes, so that
+    difference is the kappa part of the face set's moves under g."""
     for g in group.generators:
-        img = _image_table(ground, g)
-        changed = {tuple(img[m] for m in t) for t in tgt} ^ targets
+        changed = phi._moves(g).get(kappa)
         if changed:
+            img = _image_table(phi.ground, g)
             moved_src = {tuple(img[m] for m in s) for s in src}
             if any(project(u) in moved_src for u in changed):
                 return False
@@ -440,17 +442,15 @@ def comparable_pairs(n, covering_only=False):
 
 
 def verify_m_increasing(X, phi, group, certify="covering"):
-    """Certificates on refinement pairs plus, for abelian groups, the
-    effective-order comparison of every comparable coefficient pair.
+    """Certificate verdicts on refinement pairs (count, invalid ones) plus,
+    for abelian groups, effective order on every comparable coefficient pair.
 
     certify: "covering" (enough for the order, by composing embeddings)
     or "comparable" (every pair)."""
     n = X.degree
     cert_pairs = comparable_pairs(n, covering_only=(certify == "covering"))
-    certs = []
-    for a, b in cert_pairs:
-        c = theta_certificate(phi, group, a, b)
-        certs.append(c)
+    invalid = [(str(a), str(b)) for a, b in cert_pairs
+               if not theta_certificate(phi, group, a, b).valid]
     abelian = group.is_abelian()
     leq_failures = []
     if abelian:
@@ -461,11 +461,10 @@ def verify_m_increasing(X, phi, group, certify="covering"):
             ok, details = leq_char(ca, cb)
             if not ok:
                 leq_failures.append({"alpha": str(a), "beta": str(b), "details": details})
-    bad_certs = [c for c in certs if not c.valid]
     return {
-        "ok": not bad_certs and not leq_failures,
+        "ok": not invalid and not leq_failures,
         "abelian": abelian,
-        "certificates": certs,
-        "invalid_certificates": [(str(c.alpha), str(c.beta)) for c in bad_certs],
+        "pairs_checked": len(cert_pairs),
+        "invalid_certificates": invalid,
         "leq_failures": leq_failures,
     }

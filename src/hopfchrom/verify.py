@@ -61,7 +61,7 @@ def run_verification(h, char, group, k=None, max_ground=VERIFY_GROUND_CAP,
     inc = verify_m_increasing(X, phi, group, certify=certify)
     checks["theta_certificates"] = {
         "ok": not inc["invalid_certificates"],
-        "pairs_checked": len(inc["certificates"]),
+        "pairs_checked": inc["pairs_checked"],
         "invalid": inc["invalid_certificates"],
     }
     checks["coefficient_order"] = {
@@ -107,7 +107,9 @@ def run_verification(h, char, group, k=None, max_ground=VERIFY_GROUND_CAP,
         checks["oracle"] = {"ok": not mism, "colors": kk,
                             "total_colorings": len(colorings), "mismatches": mism}
     else:
-        checks["oracle"] = {"ok": True, "skipped": "oracle not run"}
+        reason = ("ground size %d exceeds the oracle cap %d" % (n, ORACLE_GROUND_CAP)
+                  if include_oracle else "oracle not run")
+        checks["oracle"] = {"ok": True, "skipped": reason}
 
     report["ok"] = all(c["ok"] for c in checks.values())
     return report

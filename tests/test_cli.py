@@ -108,6 +108,24 @@ def test_verify_no_oracle(tmp_path):
     assert data["checks"]["oracle"] == {"ok": True, "skipped": "oracle not run"}
 
 
+def test_verify_names_the_oracle_cap(tmp_path):
+    """Above the oracle's ground cap the report says the cap skipped the
+    oracle; --no-oracle still says it was not run."""
+    ground = list("abcdefghi")
+    job = {"kind": "poset",
+           "structure": {"ground": ground, "relations": list(zip(ground, ground[1:]))},
+           "character": "zeta"}
+    path = _write_job(tmp_path, job)
+    out = tmp_path / "v.json"
+    for extra, skipped in (([], "ground size 9 exceeds the oracle cap 8"),
+                           (["--no-oracle"], "oracle not run")):
+        assert main(["verify", "--input", path, "--output", str(out),
+                     "--max-ground", "9"] + extra) == 0
+        data = json.loads(out.read_text())
+        assert data["ok"]
+        assert data["checks"]["oracle"] == {"ok": True, "skipped": skipped}
+
+
 def test_certify_covering_pairs(tmp_path):
     job = _write_job(tmp_path, FOUR_CYCLE_JOB)
     pairs = {}

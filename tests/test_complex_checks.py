@@ -1,17 +1,19 @@
 """Differential tests of the mask-based checks in complexes against the
 code they replaced, kept here as the references: the scan over all faces
 for sandwich closure and purity, the dense pair-by-pair incidence matrix
-with its per-(source, target) equivariance test, hilb counted with
-act_flag on every face, and the faces built as one Flag per proper
-composition and written out in Flag order."""
+ranked by column-scan elimination, with its per-(source, target)
+equivariance test, hilb counted with act_flag on every face, and the
+faces built as one Flag per proper composition and written out in Flag
+order."""
 
 import random
 from itertools import combinations
 
+from hopfchrom import complexes
 from hopfchrom.chromatic import ClassQSym, proper_compositions
 from hopfchrom.complexes import (BalancedRelativeComplex, coloring_complex,
                                  comparable_pairs, complex_automorphism_check,
-                                 hilb, integer_matrix_rank, theta_certificate)
+                                 hilb, theta_certificate)
 from hopfchrom.compositions import (Flag, act_flag, alpha_of_subset, compositions_of,
                                     enumerate_set_compositions, flag_of,
                                     subset_of_alpha)
@@ -75,6 +77,34 @@ def _verdict(ground, faces):
     return None
 
 
+def dense_integer_rank(rows):
+    """The former complexes.integer_matrix_rank: exact rank of dense
+    integer rows by multiply-and-subtract elimination, column by column."""
+    m = [list(r) for r in rows]
+    if not m or not m[0]:
+        return 0
+    nr, nc = len(m), len(m[0])
+    rank = 0
+    for col in range(nc):
+        piv = None
+        for r in range(rank, nr):
+            if m[r][col] != 0:
+                piv = r
+                break
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        pivot = m[rank][col]
+        for r in range(rank + 1, nr):
+            if m[r][col] != 0:
+                factor = m[r][col]
+                m[r] = [pivot * a - factor * b for a, b in zip(m[r], m[rank])]
+        rank += 1
+        if rank == min(nr, nc):
+            break
+    return rank
+
+
 def _reference_equivariant(group, src, tgt):
     """The former complexes._theta_equivariant."""
     tgt_set = set(tgt)
@@ -94,7 +124,7 @@ def _reference_theta(phi, group, alpha, beta):
     tgt = _flags_of_type(phi, beta)
     matrix = tuple(tuple(1 if set(s.chain) <= set(t.chain) else 0 for s in src)
                    for t in tgt)
-    return matrix, integer_matrix_rank(matrix), _reference_equivariant(group, src, tgt)
+    return matrix, dense_integer_rank(matrix), _reference_equivariant(group, src, tgt)
 
 
 def _reference_hilb(phi, group):
@@ -224,6 +254,22 @@ def test_theta_with_non_automorphism_generator(bowtie):
     assert verdicts == {True, False}
 
 
+def test_certificates_after_hilb_image_nothing(monkeypatch, bowtie, z2):
+    """hilb settles each generator's moves on the face set once; the
+    certificates read them and image no face of their own."""
+    phi = coloring_complex(bowtie, CharacterSpec("chromatic"))
+    hilb(phi, z2)
+    calls = []
+    table = complexes._image_table
+
+    def counted(ground, g):
+        calls.append(g)
+        return table(ground, g)
+
+    monkeypatch.setattr(complexes, "_image_table", counted)
+    certs = [theta_certificate(phi, z2, a, b) for a, b in _theta_pairs(len(phi.ground))]
+    assert all(c.valid for c in certs)
+    assert not calls
 
 def _mask_chain(ground, flag):
     bit = {x: 1 << i for i, x in enumerate(ground)}

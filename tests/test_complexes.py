@@ -183,6 +183,7 @@ def test_theta_certificate_on_bowtie(bowtie, z2):
     phi = coloring_complex(bowtie, CHROM)
     cert = theta_certificate(phi, z2, C("2,2"), C("1,1,2"))
     assert cert.n_source == 1 and cert.n_target == 2
+    assert cert.hits == (0, 0)
     assert cert.matrix == ((1,), (1,))
     assert cert.rank == 1
     assert cert.valid
@@ -209,14 +210,17 @@ def test_theta_on_purity_violating_control():
 
 def test_integer_matrix_rank():
     assert integer_matrix_rank([]) == 0
-    assert integer_matrix_rank([[0]]) == 0
-    assert integer_matrix_rank([[3]]) == 1
-    assert integer_matrix_rank([[1, 2], [2, 4]]) == 1
-    assert integer_matrix_rank([[1, 2], [2, 5]]) == 2
-    assert integer_matrix_rank([[0, 1, 0], [1, 0, 0], [1, 1, 1]]) == 3
+    assert integer_matrix_rank([{}]) == 0
+    assert integer_matrix_rank([{0: 3}]) == 1
+    assert integer_matrix_rank([{0: 1, 1: 2}, {0: 2, 1: 4}]) == 1
+    assert integer_matrix_rank([{0: 1, 1: 2}, {0: 2, 1: 5}]) == 2
+    assert integer_matrix_rank([{1: 1}, {0: 1}, {0: 1, 1: 1, 2: 1}]) == 3
     # no division happens, so large entries stay exact
     big = 10 ** 30
-    assert integer_matrix_rank([[big, 1], [1, big]]) == 2
+    assert integer_matrix_rank([{0: big, 1: 1}, {0: 1, 1: big}]) == 2
+    # the third row is the second minus the first: one subtraction turns
+    # the second row into a pivot, one more turns the third into zero
+    assert integer_matrix_rank([{0: 1, 5: 1}, {0: 1, 3: 2}, {3: 2, 5: -1}]) == 2
 
 
 def test_comparable_pairs_counts():
@@ -232,8 +236,11 @@ def test_verify_m_increasing(bowtie, z2):
     rep = verify_m_increasing(X, phi, z2, certify="comparable")
     assert rep["ok"]
     assert rep["abelian"]
-    assert rep["certificates"]
+    assert rep["pairs_checked"] == len(comparable_pairs(4))
     assert not rep["invalid_certificates"]
+    assert "certificates" not in rep
+    covering = verify_m_increasing(X, phi, z2, certify="covering")
+    assert covering["pairs_checked"] == len(comparable_pairs(4, covering_only=True))
 
 
 def test_hilb_rejects_non_automorphism(bowtie):
