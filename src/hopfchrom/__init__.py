@@ -18,8 +18,7 @@ from .chromatic import (ClassPolynomial, ClassQSym, binomial_to_monomial,
 from .complexes import (BalancedRelativeComplex, EmbeddingCertificate,
                         check_balanced_convex, coloring_complex,
                         comparable_pairs, flag_f_vector, hilb,
-                        integer_matrix_rank, theta_certificate,
-                        verify_m_increasing)
+                        integer_matrix_rank, theta_certificate)
 from .compositions import (Flag, IntComposition, SetComposition,
                            alpha_of_subset, compositions_of,
                            enumerate_set_compositions, flag_of, refines,
@@ -59,5 +58,5 @@ __all__ = [
     "orbital_polynomial", "orbital_psi", "proper_coloring",
     "proper_compositions", "psi", "psi_polynomial", "refines", "restrict",
     "run_verification", "subset_of_alpha", "theta_certificate", "type_of",
-    "type_of_flag", "verify_flawless", "verify_m_increasing",
+    "type_of_flag", "verify_flawless",
 ]

@@ -23,8 +23,10 @@ most 3^n pairs however many prefixes reach R:
 - point collections: every S is allowed and whole compositions are
   filtered, scoring against the points scaled once to integers.
 
-psi counts, for every group element, the compositions it fixes, from a
-table of the element's images of all masks.
+psi counts, for every group element, the compositions it fixes: g fixes
+one exactly when it maps every block onto itself, read off the group's
+stabilizer table (groups.PermGroup.stabilizer_bits).  fixed_qsym is that
+one counter; hilb counts the flags of the coloring complex with it too.
 
 The principal specialization gives a polynomial with class-function
 coefficients on the binomial basis; orbital versions average each
@@ -41,7 +43,7 @@ from itertools import product
 from math import comb, lcm
 from operator import itemgetter
 
-from .compositions import IntComposition, SetComposition
+from .compositions import IntComposition, mask_labels
 from .errors import DomainError, ResourceCapError
 from .groups import ClassFunction, burnside_count, leq_char
 from .structures import (automorphism_check, char_value, check_compatible,
@@ -51,25 +53,19 @@ GROUND_CAP = 9
 ORACLE_GROUND_CAP = 8
 
 
-def proper_compositions(h, char, max_ground=GROUND_CAP, masks=False):
-    """All proper set compositions of h for the character, sorted by length
-    then blocks.  With masks=True they come as tuples of block bitmasks
-    (label i of the sorted ground set is bit i), in listing order."""
+def proper_compositions(h, char, max_ground=GROUND_CAP):
+    """All proper set compositions of h for the character, as tuples of
+    block masks (label i of the sorted ground set is bit i), in listing
+    order; compositions.mask_labels gives the labels of a mask."""
     char = check_compatible(h, char)
     n = len(h.ground)
     if n > max_ground:
         raise ResourceCapError("ground set size %d exceeds cap %d" % (n, max_ground))
-    labels = _mask_labels(h.ground)
-    table = _next_blocks(h, char, labels)
+    table = _next_blocks(h, char, mask_labels(h.ground))
     found = _walk(table, len(table) - 1, table[-1])
     if h.kind == "gen_permutohedron":
         found = _points_filter(h, found)
-    if masks:
-        return list(found)
-    # streamed, so the mask tuples never all coexist with the compositions
-    comps = [SetComposition([labels[S] for S in c]) for c in found]
-    comps.sort(key=lambda c: (c.length, c.blocks))
-    return comps
+    return list(found)
 
 
 def _submasks(R):
@@ -80,19 +76,10 @@ def _submasks(R):
         S = (S - 1) & R
 
 
-def _mask_labels(ground):
-    """labels[m]: the labels of the bits of m, in sorted order."""
-    labels = [()]
-    for m in range(1, 1 << len(ground)):
-        low = m & -m
-        labels.append((ground[low.bit_length() - 1],) + labels[m ^ low])
-    return labels
-
-
 def _next_blocks(h, char, labels):
     """table[R] for every mask R of labels still to be placed: the masks
     S inside R allowed as the next block.  table[0] is empty and unused.
-    labels is _mask_labels of the ground set."""
+    labels is mask_labels of the ground set."""
     ground = h.ground
     full = (1 << len(ground)) - 1
     table = [[]]
@@ -226,58 +213,37 @@ def psi(h, char, group, max_ground=GROUND_CAP):
         if not automorphism_check(h, g):
             raise DomainError("generator %s is not an automorphism of the structure"
                               % g.cycle_string())
-    propers = proper_compositions(h, char, max_ground=max_ground, masks=True)
-    elements = group.elements
-    stable = _stabilizer_bits(h.ground, elements)
-    everyone = (1 << len(elements)) - 1
-    by_type = {}
-    for comp in propers:
+    return fixed_qsym(group, len(h.ground), (
+        (tuple(S.bit_count() for S in c), c)
+        for c in proper_compositions(h, char, max_ground=max_ground)))
+
+
+def fixed_qsym(group, n, objects):
+    """The quasisymmetric class function of degree n whose coefficient of
+    each type counts, at every g, the objects of that type g fixes.
+
+    objects yields (parts, masks) pairs: a set composition with its block
+    masks, or a flag with its member masks.  g fixes one exactly when it
+    maps every mask onto itself, so the elements fixing it are the AND of
+    group.stabilizer_bits over its masks (bit k for group.elements[k]);
+    for a set composition that is the test act(g, c) == c.  Objects are
+    tallied by parts and fixing bitset, the value at g sums the tallies
+    whose bitset holds g, and class constancy is checked."""
+    stable = group.stabilizer_bits
+    everyone = (1 << group.order) - 1
+    tallies = {}
+    for parts, masks in objects:
         fixers = everyone
-        for S in comp:
-            fixers &= stable[S]
-        tally = by_type.setdefault(tuple(S.bit_count() for S in comp), {})
+        for m in masks:
+            fixers &= stable[m]
+        tally = tallies.setdefault(parts, {})
         tally[fixers] = tally.get(fixers, 0) + 1
-    coeffs = {IntComposition(parts): cf
-              for parts, cf in _class_functions(group, by_type).items()}
-    return ClassQSym(len(h.ground), group, coeffs)
-
-
-def _class_functions(group, tallies):
-    """{key: class function} from tallies[key], which maps each bitset of
-    fixing elements (bit k for group.elements[k]) to the number of objects
-    fixed by exactly those elements.  The value at g sums the counts whose
-    bitset contains g; class constancy is checked."""
     elements = group.elements
-    return {key: ClassFunction.from_element_values(group, {
-                g: sum(cnt for fixers, cnt in tally.items() if fixers >> k & 1)
-                for k, g in enumerate(elements)})
-            for key, tally in tallies.items()}
-
-
-def _image_table(ground, g):
-    """img[m]: the mask of the images under g of the labels of mask m
-    (label i of the sorted ground set is bit i), built one lowest bit at
-    a time."""
-    index = {x: i for i, x in enumerate(ground)}
-    bit = [1 << index[g(x)] for x in ground]
-    img = [0] * (1 << len(ground))
-    for m in range(1, len(img)):
-        low = m & -m
-        img[m] = img[m ^ low] | bit[low.bit_length() - 1]
-    return img
-
-
-def _stabilizer_bits(ground, elements):
-    """stable[m]: bit k set when elements[k] maps the labels of mask m onto
-    themselves.  A set composition is fixed by g exactly when g maps every
-    block onto itself, so the elements fixing it are the AND of stable over
-    its block masks; that is the test act(g, c) == c, read off tables."""
-    stable = [0] * (1 << len(ground))
-    for k, g in enumerate(elements):
-        for m, image in enumerate(_image_table(ground, g)):
-            if image == m:
-                stable[m] |= 1 << k
-    return stable
+    return ClassQSym(n, group, {
+        IntComposition(parts): ClassFunction.from_element_values(group, {
+            g: sum(cnt for fixers, cnt in tally.items() if fixers >> k & 1)
+            for k, g in enumerate(elements)})
+        for parts, tally in tallies.items()})
 
 
 @dataclass

@@ -20,10 +20,11 @@ from the top faces; BalancedRelativeComplex._validate proves both
 equivalent to the scans over all faces.
 
 hilb packages fixed-face counts per size set into the same kind of
-quasisymmetric class function that psi produces, with the same rule: g
-fixes a flag exactly when it maps every member onto itself.  The two
-agree for coloring complexes, and psi_hilb_diffs names every coefficient
-where they do not.  theta_certificate certifies that
+quasisymmetric class function that psi produces, through the same
+counter, chromatic.fixed_qsym: g fixes a flag exactly when it maps every
+member onto itself, read off the group's stabilizer table.  The two agree
+for coloring complexes, and psi_hilb_diffs names every coefficient where
+they do not.  theta_certificate certifies that
 coarser-type faces embed into finer-type faces: a 0/1 incidence matrix
 (rows: finer faces) of full column rank, plus generator equivariance.
 Flag members have distinct sizes, so a coarser face lies in a finer one
@@ -41,13 +42,12 @@ from itertools import accumulate, combinations
 from operator import or_
 
 from .compositions import (Flag, IntComposition, alpha_of_subset,
-                           compositions_of, refines, subset_of_alpha)
+                           compositions_of, mask_labels, refines,
+                           subset_of_alpha)
 # psi is not called here; it stays importable next to hilb, and
 # perfbench/test_perfbench.py checks its tracer rebinds this name
-from .chromatic import (GROUND_CAP, ClassQSym, _class_functions, _image_table,
-                        _mask_labels, _stabilizer_bits, proper_compositions, psi)
+from .chromatic import GROUND_CAP, fixed_qsym, proper_compositions, psi
 from .errors import DomainError, VerificationFailure
-from .groups import leq_char
 from .structures import (DIRECT_ONLY_KINDS, char_value, check_compatible,
                          contract, restrict, split_is_zero)
 
@@ -152,7 +152,7 @@ class BalancedRelativeComplex:
 
     @cached_property
     def _label_table(self):
-        return _mask_labels(self.ground)
+        return mask_labels(self.ground)
 
     @cached_property
     def _types(self):
@@ -178,7 +178,7 @@ class BalancedRelativeComplex:
         one short-circuit pass over the faces, with no image set built,
         gives no moves."""
         if g not in self._moved:
-            img = _image_table(self.ground, g)
+            img = g.mask_images()
             moves = {}
             if not all(tuple(img[m] for m in c) in self.faces for c in self.faces):
                 for c in self.faces ^ {tuple(img[m] for m in c) for c in self.faces}:
@@ -254,7 +254,7 @@ def coloring_complex(h, char, max_ground=GROUND_CAP):
     # the kernel's listing is not kept: it is freed once its chains are taken
     phi = BalancedRelativeComplex._of_chains(h.ground, (
         tuple(accumulate(c[:-1], or_))
-        for c in proper_compositions(h, char, max_ground=max_ground, masks=True)))
+        for c in proper_compositions(h, char, max_ground=max_ground)))
     if phi.faces and phi.dimension != len(h.ground) - 2:
         raise VerificationFailure(
             "coloring complex has dimension %d, expected %d"
@@ -285,8 +285,8 @@ def hilb(phi, group):
 
     g fixes a flag exactly when it maps every member onto itself, since
     g keeps member sizes and a flag has one member of each of its sizes;
-    so the elements fixing a face are the AND of chromatic's stabilizer
-    bitsets over its member masks, the rule psi applies to blocks."""
+    that is the rule psi applies to blocks, so both count through
+    fixed_qsym, here with the parts of each size set found once."""
     if group.ground != phi.ground:
         raise DomainError("group acts on %r, complex lives on %r"
                           % (group.ground, phi.ground))
@@ -295,17 +295,9 @@ def hilb(phi, group):
             raise DomainError("generator %s is not an automorphism of the complex"
                               % g.cycle_string())
     n = len(phi.ground)
-    stable = _stabilizer_bits(phi.ground, group.elements)
-    everyone = (1 << group.order) - 1
-    tallies = {}
-    for kappa, chains in phi._types.items():
-        tally = tallies[alpha_of_subset(set(kappa), n)] = {}
-        for c in chains:
-            fixers = everyone
-            for m in c:
-                fixers &= stable[m]
-            tally[fixers] = tally.get(fixers, 0) + 1
-    return ClassQSym(n, group, _class_functions(group, tallies))
+    by_type = ((alpha_of_subset(set(kappa), n).parts, chains)
+               for kappa, chains in phi._types.items())
+    return fixed_qsym(group, n, ((parts, c) for parts, chains in by_type for c in chains))
 
 
 def psi_hilb_diffs(X, H):
@@ -420,7 +412,7 @@ def _theta_equivariant(phi, group, src, kappa, project):
     for g in group.generators:
         changed = phi._moves(g).get(kappa)
         if changed:
-            img = _image_table(phi.ground, g)
+            img = g.mask_images()
             moved_src = {tuple(img[m] for m in s) for s in src}
             if any(project(u) in moved_src for u in changed):
                 return False
@@ -439,32 +431,3 @@ def comparable_pairs(n, covering_only=False):
             if sa < sb and (not covering_only or len(sb) == len(sa) + 1):
                 out.append((a, b))
     return out
-
-
-def verify_m_increasing(X, phi, group, certify="covering"):
-    """Certificate verdicts on refinement pairs (count, invalid ones) plus,
-    for abelian groups, effective order on every comparable coefficient pair.
-
-    certify: "covering" (enough for the order, by composing embeddings)
-    or "comparable" (every pair)."""
-    n = X.degree
-    cert_pairs = comparable_pairs(n, covering_only=(certify == "covering"))
-    invalid = [(str(a), str(b)) for a, b in cert_pairs
-               if not theta_certificate(phi, group, a, b).valid]
-    abelian = group.is_abelian()
-    leq_failures = []
-    if abelian:
-        for a, b in comparable_pairs(n):
-            ca, cb = X.coefficient(a), X.coefficient(b)
-            if ca.is_zero() and cb.is_zero():
-                continue
-            ok, details = leq_char(ca, cb)
-            if not ok:
-                leq_failures.append({"alpha": str(a), "beta": str(b), "details": details})
-    return {
-        "ok": not invalid and not leq_failures,
-        "abelian": abelian,
-        "pairs_checked": len(cert_pairs),
-        "invalid_certificates": invalid,
-        "leq_failures": leq_failures,
-    }

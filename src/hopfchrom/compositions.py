@@ -6,7 +6,10 @@ bijection with subsets of {1, ..., d-1} via partial sums.  A set composition
 of a finite ground set is an ordered sequence of disjoint nonempty blocks
 covering it.  A flag is a strictly increasing chain of proper nonempty
 subsets of the ground set; set compositions correspond to flags by taking
-prefix unions and dropping the full ground set.
+prefix unions and dropping the full ground set.  The kernels work on
+masks instead, label i of the sorted ground set being bit i: a set
+composition is the tuple of its block masks and a flag that of its member
+masks, and mask_labels turns a mask back into its labels.
 
 Canonical text forms, used in JSON and error messages:
 
@@ -209,6 +212,16 @@ def enumerate_set_compositions(ground):
     if ground:
         rec(set(ground), [])
     return sorted(out, key=lambda c: (c.length, c.blocks))
+
+
+def mask_labels(ground):
+    """labels[m]: the labels of the bits of mask m, in sorted order; ground
+    is sorted, and its label i is bit i."""
+    labels = [()]
+    for m in range(1, 1 << len(ground)):
+        low = m & -m
+        labels.append((ground[low.bit_length() - 1],) + labels[m ^ low])
+    return labels
 
 
 def act(g, comp):

@@ -8,6 +8,12 @@ printed representative of a class is its lexicographically smallest cycle
 string.  All character arithmetic is exact: integers, fractions, and
 cyclotomic values only.
 
+The group's action on label masks lives here too: label i of the sorted
+ground set is bit i, Permutation.mask_images gives one permutation's image
+of every mask, and PermGroup.stabilizer_bits, built once per group, marks
+for each mask the elements that map it onto itself.  psi and hilb read
+their fixed-point counts from that one table.
+
 Character-level comparison (effectiveness, the <= order on class functions)
 is implemented for abelian groups, whose irreducible characters are exactly
 the homomorphisms into roots of unity.  For nonabelian groups those
@@ -27,6 +33,7 @@ functions and for ``burnside_count``.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from math import lcm
 
@@ -47,7 +54,8 @@ class Permutation:
         images = tuple(self.images)
         object.__setattr__(self, "ground", ground)
         object.__setattr__(self, "images", images)
-        if sorted(ground) != sorted(images) or len(set(ground)) != len(ground):
+        if (len(images) != len(ground) or len(set(ground)) != len(ground)
+                or set(ground) != set(images)):
             raise DomainError("not a permutation of %r" % (ground,))
         object.__setattr__(self, "_map", dict(zip(ground, images)))
 
@@ -61,8 +69,12 @@ class Permutation:
         if ground is None:
             ground = sorted(mapping)
         ground = tuple(sorted(ground))
-        images = tuple(mapping.get(x, x) for x in ground)
-        return cls(ground, images)
+        for x, y in mapping.items():
+            if x not in ground:
+                raise DomainError("label %r is not in the ground set" % (x,))
+            if y not in ground:
+                raise DomainError("image %r of label %r is not in the ground set" % (y, x))
+        return cls(ground, tuple(mapping.get(x, x) for x in ground))
 
     @classmethod
     def from_cycles(cls, text, ground):
@@ -145,6 +157,20 @@ class Permutation:
             return "()"
         return "".join("(%s)" % " ".join(c) for c in cyc)
 
+    def mask_images(self):
+        """img[m]: the mask of the images of the labels of mask m, where
+        label i of the sorted ground set is bit i; built one lowest bit at
+        a time.  Not cached: a group keeps one stabilizer table, not one
+        image table per element."""
+        ground = sorted(self.ground)
+        index = {x: i for i, x in enumerate(ground)}
+        bit = [1 << index[self._map[x]] for x in ground]
+        img = [0] * (1 << len(bit))
+        for m in range(1, len(img)):
+            low = m & -m
+            img[m] = img[m ^ low] | bit[low.bit_length() - 1]
+        return img
+
 
 class PermGroup:
     """A closed permutation group with its canonical element enumeration.
@@ -212,14 +238,19 @@ class PermGroup:
     def order(self):
         return len(self.elements)
 
-    def __len__(self):
-        return len(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __contains__(self, g):
-        return g in self._elem_index
+    @cached_property
+    def stabilizer_bits(self):
+        """stable[m]: bit k set when elements[k] maps the labels of mask m
+        onto themselves.  g fixes a set composition or a flag exactly when
+        it maps each block or member onto itself, so the elements fixing
+        one are the AND of stable over its masks.  Built once per group,
+        one element's image table at a time."""
+        stable = [0] * (1 << len(self.ground))
+        for k, g in enumerate(self.elements):
+            for m, image in enumerate(g.mask_images()):
+                if image == m:
+                    stable[m] |= 1 << k
+        return tuple(stable)
 
     def class_of(self, g):
         try:

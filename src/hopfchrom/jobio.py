@@ -111,8 +111,9 @@ def load_job(data, group_cap=GROUP_ORDER_CAP):
 
 def check_colors(colors):
     """A color count, from the job field or the --colors flag: None or a
-    nonnegative integer."""
-    if colors is not None and (not isinstance(colors, int) or colors < 0):
+    nonnegative integer (a JSON true or false is not one)."""
+    if colors is not None and (not isinstance(colors, int) or isinstance(colors, bool)
+                               or colors < 0):
         raise DomainError("field 'colors' must be a nonnegative integer")
     return colors
 

@@ -14,8 +14,9 @@ names the exact place it happened.
 from .chromatic import (ORACLE_GROUND_CAP, coloring_oracle,
                         fixed_coloring_counts, orbit_f_vector, orbital_psi,
                         psi, psi_polynomial, verify_flawless)
-from .complexes import (coloring_complex, hilb, psi_hilb_diffs,
-                        verify_m_increasing)
+from .complexes import (coloring_complex, comparable_pairs, hilb,
+                        psi_hilb_diffs, theta_certificate)
+from .groups import leq_char
 from .structures import DIRECT_ONLY_KINDS, check_compatible
 
 VERIFY_GROUND_CAP = 8
@@ -36,7 +37,12 @@ def run_verification(h, char, group, k=None, max_ground=VERIFY_GROUND_CAP,
     burnside section.  A non-integral or negative one raises
     VerificationFailure from orbital_psi (exit 1 on the command line)
     before the burnside section is built; the section checks the bound
-    0 <= count <= identity coefficient."""
+    0 <= count <= identity coefficient.
+
+    certify picks the refinement pairs whose embedding certificates are
+    checked: "comparable" (every pair) or "covering" (pairs that split one
+    part, enough for the order, by composing embeddings); only their
+    verdicts are kept."""
     char = check_compatible(h, char)
     n = len(h.ground)
     report = {
@@ -58,22 +64,27 @@ def run_verification(h, char, group, k=None, max_ground=VERIFY_GROUND_CAP,
              for alpha, a, b in psi_hilb_diffs(X, hilb(phi, group))]
     checks["psi_equals_hilb"] = {"ok": not diffs, "diffs": diffs}
 
-    inc = verify_m_increasing(X, phi, group, certify=certify)
-    checks["theta_certificates"] = {
-        "ok": not inc["invalid_certificates"],
-        "pairs_checked": inc["pairs_checked"],
-        "invalid": inc["invalid_certificates"],
-    }
-    checks["coefficient_order"] = {
-        "ok": not inc["leq_failures"],
-        "abelian": inc["abelian"],
-        "failures": inc["leq_failures"],
-    }
-    if not inc["abelian"]:
+    cert_pairs = comparable_pairs(n, covering_only=(certify == "covering"))
+    invalid = [(str(a), str(b)) for a, b in cert_pairs
+               if not theta_certificate(phi, group, a, b).valid]
+    checks["theta_certificates"] = {"ok": not invalid, "pairs_checked": len(cert_pairs),
+                                    "invalid": invalid}
+    abelian = group.is_abelian()
+    failures = []
+    if abelian:
+        for a, b in comparable_pairs(n):
+            ca, cb = X.coefficient(a), X.coefficient(b)
+            if ca.is_zero() and cb.is_zero():
+                continue
+            ok, details = leq_char(ca, cb)
+            if not ok:
+                failures.append({"alpha": str(a), "beta": str(b), "details": details})
+    checks["coefficient_order"] = {"ok": not failures, "abelian": abelian, "failures": failures}
+    if not abelian:
         checks["coefficient_order"]["skipped"] = "effective order needs an abelian group"
 
     poly = psi_polynomial(X)
-    if inc["abelian"]:
+    if abelian:
         checks["flawless_class"] = verify_flawless(poly)
     else:
         checks["flawless_class"] = {"ok": True, "skipped": "class-level order needs an abelian group"}

@@ -10,12 +10,14 @@ from hopfchrom.chromatic import (binomial_to_monomial, coloring_oracle,
                                  proper_compositions, psi, psi_polynomial,
                                  verify_flawless)
 from hopfchrom import chromatic, structures
-from hopfchrom.compositions import IntComposition, SetComposition, type_of
+from hopfchrom.compositions import (IntComposition, SetComposition,
+                                    enumerate_set_compositions, type_of)
 from hopfchrom.errors import DomainError, ResourceCapError
 from hopfchrom.groups import ClassFunction, PermGroup, Permutation
 from hopfchrom.randgen import corpus
 from hopfchrom.structures import (CharacterSpec, Graph, _unique_argmax,
                                   check_compatible, coloring_test)
+from test_kernel import set_compositions
 
 C = IntComposition.parse
 ZETA = CharacterSpec("zeta")
@@ -31,10 +33,15 @@ def test_proper_compositions_edgeless():
 
 
 def test_proper_compositions_order_is_canonical():
+    """Each composition is listed once, as disjoint block masks covering
+    the ground set; sorted as SetCompositions they are the canonical
+    listing of all set compositions of an edgeless graph."""
     g = Graph(("a", "b", "c"), frozenset())
     comps = proper_compositions(g, ZETA)
-    keys = [(c.length, c.blocks) for c in comps]
-    assert keys == sorted(keys)
+    assert len(set(comps)) == len(comps)
+    for c in comps:
+        assert all(c) and sum(c) == 0b111 and sum(S.bit_count() for S in c) == 3
+    assert set_compositions(g, ZETA) == enumerate_set_compositions(g.ground)
 
 
 def test_proper_compositions_triangle():
@@ -42,7 +49,7 @@ def test_proper_compositions_triangle():
               frozenset({frozenset({"a", "b"}), frozenset({"a", "c"}),
                          frozenset({"b", "c"})}))
     comps = proper_compositions(t, CHROM)
-    assert all(c.length == 3 for c in comps)
+    assert all(len(c) == 3 for c in comps)
     assert len(comps) == 6
 
 

@@ -191,6 +191,29 @@ def test_exit_code_negative_colors(tmp_path, command, colors):
     assert err["message"] == "field 'colors' must be a nonnegative integer"
 
 
+@pytest.mark.parametrize("mapping,label", [
+    ({"a": "b", "b": "a", "z": "q"}, "'z'"),
+    ({"a": 1}, "1"),
+])
+def test_exit_code_mapping_generator_off_the_ground_set(tmp_path, capsys, mapping, label):
+    """A mapping-form generator whose key or image is not a ground label is
+    refused by name, never dropped or left to a TypeError."""
+    job = _write_job(tmp_path, dict(FOUR_CYCLE_JOB, group=[mapping]))
+    assert main(["psi", "--input", job, "--output", str(tmp_path / "o")]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "domain"
+    assert label + " " in err["message"] and "not in the ground set" in err["message"]
+
+
+@pytest.mark.parametrize("colors", [True, False])
+def test_exit_code_boolean_colors(tmp_path, capsys, colors):
+    job = _write_job(tmp_path, dict(FOUR_CYCLE_JOB, colors=colors))
+    assert main(["oracle", "--input", job, "--output", str(tmp_path / "o")]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "domain"
+    assert err["message"] == "field 'colors' must be a nonnegative integer"
+
+
 def test_workers_above_one_warns(tmp_path):
     job = _write_job(tmp_path, FOUR_CYCLE_JOB)
     proc = _run(["psi", "--input", job, "--workers", "2"])

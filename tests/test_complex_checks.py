@@ -9,8 +9,7 @@ order."""
 import random
 from itertools import combinations
 
-from hopfchrom import complexes
-from hopfchrom.chromatic import ClassQSym, proper_compositions
+from hopfchrom.chromatic import ClassQSym
 from hopfchrom.complexes import (BalancedRelativeComplex, coloring_complex,
                                  comparable_pairs, complex_automorphism_check,
                                  hilb, theta_certificate)
@@ -22,6 +21,8 @@ from hopfchrom.groups import ClassFunction, PermGroup, Permutation
 from hopfchrom.jobio import flags_to_json
 from hopfchrom.randgen import corpus
 from hopfchrom.structures import CharacterSpec, Graph
+from hopfchrom.verify import run_verification
+from test_kernel import set_compositions
 
 CORPUS = corpus()
 
@@ -259,17 +260,39 @@ def test_certificates_after_hilb_image_nothing(monkeypatch, bowtie, z2):
     certificates read them and image no face of their own."""
     phi = coloring_complex(bowtie, CharacterSpec("chromatic"))
     hilb(phi, z2)
-    calls = []
-    table = complexes._image_table
-
-    def counted(ground, g):
-        calls.append(g)
-        return table(ground, g)
-
-    monkeypatch.setattr(complexes, "_image_table", counted)
+    calls = _count_mask_images(monkeypatch)
     certs = [theta_certificate(phi, z2, a, b) for a, b in _theta_pairs(len(phi.ground))]
     assert all(c.valid for c in certs)
     assert not calls
+
+
+def _count_mask_images(monkeypatch):
+    """Record every Permutation.mask_images call from here on."""
+    calls, table = [], Permutation.mask_images
+
+    def counted(g):
+        calls.append(g)
+        return table(g)
+
+    monkeypatch.setattr(Permutation, "mask_images", counted)
+    return calls
+
+
+def test_verify_builds_the_stabilizer_table_once(monkeypatch):
+    """One run_verification images every mask once per group element, for
+    the stabilizer table that psi and hilb share, and once per generator,
+    for that generator's moves on the face set, which hilb and the
+    certificates share.  Building the table in psi and again in hilb would
+    take group.order calls more."""
+    v = tuple("abcdef")
+    c6 = Graph(v, frozenset(frozenset({v[i], v[(i + 1) % 6]}) for i in range(6)))
+    d6 = PermGroup((Permutation.from_cycles("(a b c d e f)", v),
+                    Permutation.from_cycles("(b f)(c e)", v)))
+    calls = _count_mask_images(monkeypatch)
+    assert run_verification(c6, CharacterSpec("chromatic"), d6, include_oracle=False)["ok"]
+    assert len(calls) == d6.order + len(d6.generators)
+    assert set(calls[:d6.order]) == set(d6.elements)
+
 
 def _mask_chain(ground, flag):
     bit = {x: 1 << i for i, x in enumerate(ground)}
@@ -287,7 +310,7 @@ def _check_faces(h, char):
     of the proper compositions, one each, and they are written out in the
     order of those Flags."""
     phi = coloring_complex(h, char)
-    flags = [flag_of(c) for c in proper_compositions(h, char)]
+    flags = [flag_of(c) for c in set_compositions(h, char)]
     assert len(phi.faces) == len(flags)
     assert phi.faces == {_mask_chain(h.ground, f) for f in flags}
     assert flags_to_json(phi) == _reference_faces_json(flags)

@@ -4,13 +4,14 @@ from hopfchrom.complexes import (BalancedRelativeComplex,
                                  check_balanced_convex, coloring_complex,
                                  comparable_pairs, flag_f_vector, hilb,
                                  integer_matrix_rank, psi_hilb_diffs,
-                                 theta_certificate, verify_m_increasing)
+                                 theta_certificate)
 from hopfchrom.chromatic import ClassQSym, psi
 from hopfchrom.compositions import Flag, IntComposition
 from hopfchrom.errors import DomainError, VerificationFailure
 from hopfchrom.groups import ClassFunction, PermGroup, Permutation
 from hopfchrom.randgen import corpus
 from hopfchrom.structures import CharacterSpec, Graph
+from hopfchrom.verify import run_verification
 
 C = IntComposition.parse
 CHROM = CharacterSpec("chromatic")
@@ -230,17 +231,17 @@ def test_comparable_pairs_counts():
     assert all(b.length == a.length + 1 for a, b in cov)
 
 
-def test_verify_m_increasing(bowtie, z2):
-    X = psi(bowtie, CHROM, z2)
-    phi = coloring_complex(bowtie, CHROM)
-    rep = verify_m_increasing(X, phi, z2, certify="comparable")
-    assert rep["ok"]
-    assert rep["abelian"]
-    assert rep["pairs_checked"] == len(comparable_pairs(4))
-    assert not rep["invalid_certificates"]
-    assert "certificates" not in rep
-    covering = verify_m_increasing(X, phi, z2, certify="covering")
-    assert covering["pairs_checked"] == len(comparable_pairs(4, covering_only=True))
+def test_run_verification_certificate_sections(bowtie, z2):
+    """The certificates keep verdicts only, on every comparable pair or on
+    the covering ones, and the coefficient order runs under an abelian
+    group."""
+    for certify, covering_only in (("comparable", False), ("covering", True)):
+        checks = run_verification(bowtie, CHROM, z2, certify=certify,
+                                  include_oracle=False)["checks"]
+        assert checks["theta_certificates"] == {
+            "ok": True, "pairs_checked": len(comparable_pairs(4, covering_only)),
+            "invalid": []}
+        assert checks["coefficient_order"] == {"ok": True, "abelian": True, "failures": []}
 
 
 def test_hilb_rejects_non_automorphism(bowtie):

@@ -10,6 +10,7 @@ from hopfchrom.groups import (ClassFunction, PermGroup, Permutation,
                               conjugacy_classes, inner_product,
                               irreducible_multiplicities, is_effective,
                               leq_char)
+from hopfchrom.randgen import corpus
 
 ABCD = ("a", "b", "c", "d")
 
@@ -89,6 +90,49 @@ def test_symmetric_group_classes():
     assert not s3.is_abelian()
     assert sorted(s3.class_sizes) == [1, 2, 3]
     assert len(conjugacy_classes(s3)) == 3
+
+
+def _image_table(ground, g):
+    """The former chromatic._image_table: img[m] is the mask of the images
+    under g of the labels of mask m (label i of the sorted ground set is
+    bit i)."""
+    index = {x: i for i, x in enumerate(ground)}
+    bit = [1 << index[g(x)] for x in ground]
+    img = [0] * (1 << len(ground))
+    for m in range(1, len(img)):
+        low = m & -m
+        img[m] = img[m ^ low] | bit[low.bit_length() - 1]
+    return img
+
+
+def _stabilizer_bits(ground, elements):
+    """The former chromatic._stabilizer_bits: stable[m] has bit k set when
+    elements[k] maps the labels of mask m onto themselves."""
+    stable = [0] * (1 << len(ground))
+    for k, g in enumerate(elements):
+        for m, image in enumerate(_image_table(ground, g)):
+            if image == m:
+                stable[m] |= 1 << k
+    return stable
+
+
+def _dihedral(n):
+    v = tuple("abcdefgh"[:n])
+    flip = "".join("(%s %s)" % (v[i], v[n - i]) for i in range(1, (n + 1) // 2))
+    return PermGroup((Permutation.from_cycles("(%s)" % " ".join(v), v),
+                      Permutation.from_cycles(flip, v)))
+
+
+def test_mask_action_matches_reference():
+    """mask_images and the per-group stabilizer table equal the chromatic
+    helpers they replaced, on every corpus group and on D7 and D8."""
+    groups = [group for _, _, _, group in corpus()] + [_dihedral(7), _dihedral(8)]
+    assert [g.order for g in groups[-2:]] == [14, 16]
+    for group in groups:
+        for g in group.elements:
+            assert g.mask_images() == _image_table(group.ground, g), g
+        assert list(group.stabilizer_bits) == _stabilizer_bits(group.ground, group.elements)
+        assert group.stabilizer_bits is group.stabilizer_bits
 
 
 def test_group_order_cap():

@@ -1,7 +1,8 @@
 """Differential tests of the bitmask kernel in chromatic against the
 independent references it replaced: the string-level proper_composition
 over all set compositions, act on whole compositions, and Fraction
-scoring of point collections."""
+scoring of point collections.  set_compositions turns the kernel's block
+masks into the SetCompositions the references list."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -9,7 +10,9 @@ from itertools import combinations
 import pytest
 
 from hopfchrom.chromatic import proper_compositions, psi
-from hopfchrom.compositions import act, enumerate_set_compositions, type_of
+from hopfchrom.compositions import (SetComposition, act,
+                                    enumerate_set_compositions, mask_labels,
+                                    type_of)
 from hopfchrom.groups import ClassFunction
 from hopfchrom.randgen import GENERATORS, corpus
 from hopfchrom.structures import (PointCollection, _points_proper, contract,
@@ -17,6 +20,15 @@ from hopfchrom.structures import (PointCollection, _points_proper, contract,
 
 CORPUS = corpus()
 KINDS = sorted(GENERATORS)
+
+
+def set_compositions(h, char, **kwargs):
+    """proper_compositions as SetCompositions, sorted by length then blocks
+    like enumerate_set_compositions."""
+    labels = mask_labels(h.ground)
+    comps = [SetComposition([labels[S] for S in c])
+             for c in proper_compositions(h, char, **kwargs)]
+    return sorted(comps, key=lambda c: (c.length, c.blocks))
 
 
 def _reference(h, char):
@@ -29,7 +41,7 @@ def test_kernel_matches_reference(kind):
     cases = [(h, char) for _, h, char, _ in CORPUS if h.kind == kind]
     assert cases
     for h, char in cases:
-        assert proper_compositions(h, char) == _reference(h, char), (h, char)
+        assert set_compositions(h, char) == _reference(h, char), (h, char)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -38,7 +50,7 @@ def test_fixed_counts_match_act(kind):
         if h.kind != kind:
             continue
         X = psi(h, char, group)
-        propers = proper_compositions(h, char)
+        propers = set_compositions(h, char)
         types = {type_of(c) for c in propers}
         assert set(X.coeffs) == types
         for alpha in types:
@@ -62,7 +74,7 @@ def test_point_scoring_with_fractional_coordinates():
     every = enumerate_set_compositions(h.ground)
     expected = [c for c in every if _points_proper(h, c)]
     assert 0 < len(expected) < len(every)
-    assert proper_compositions(h, "vertex_generic") == expected
+    assert set_compositions(h, "vertex_generic") == expected
 
 
 def test_matroid_contraction_is_associative():

@@ -5,7 +5,7 @@ from itertools import combinations
 
 from hypothesis import given, settings, strategies as st
 
-from hopfchrom.chromatic import coloring_oracle, proper_compositions, psi, psi_polynomial
+from hopfchrom.chromatic import coloring_oracle, psi, psi_polynomial
 from hopfchrom.compositions import (alpha_of_subset, act, compositions_of,
                                     enumerate_set_compositions, refines,
                                     subset_of_alpha)
@@ -14,6 +14,7 @@ from hopfchrom.cyclotomic import Cyclo
 from hopfchrom.groups import PermGroup, Permutation
 from hopfchrom.structures import (CharacterSpec, Graph, proper_composition)
 from test_complex_checks import dense_integer_rank
+from test_kernel import set_compositions
 
 CHROM = CharacterSpec("chromatic")
 
@@ -52,7 +53,7 @@ def test_refines_is_a_partial_order(d, data):
 @settings(max_examples=40, deadline=None)
 @given(graphs())
 def test_engine_matches_direct_predicate(g):
-    engine = set(proper_compositions(g, CHROM))
+    engine = set(set_compositions(g, CHROM))
     brute = {c for c in enumerate_set_compositions(g.ground)
              if proper_composition(g, CHROM, c)}
     assert engine == brute
