@@ -23,10 +23,15 @@ most 3^n pairs however many prefixes reach R:
 - point collections: every S is allowed and whole compositions are
   filtered, scoring against the points scaled once to integers.
 
-psi counts, for every group element, the compositions it fixes: g fixes
-one exactly when it maps every block onto itself, read off the group's
-stabilizer table (groups.PermGroup.stabilizer_bits).  fixed_qsym is that
-one counter; hilb counts the flags of the coloring complex with it too.
+psi counts, at each conjugacy class representative g, the compositions
+g fixes, without listing them: g fixes one exactly when it maps every
+block onto itself, read off the group's stabilizer table
+(groups.PermGroup.stabilizer_bits), so the same recursion over the same
+table, kept to the blocks g fixes, counts them by type.  The count is
+constant on classes, because automorphisms act on the compositions.
+Point collections, whose rule is not local, are listed and counted at
+every element by fixed_qsym, the counter hilb uses for the flags of the
+coloring complex.
 
 The principal specialization gives a polynomial with class-function
 coefficients on the binomial basis; orbital versions average each
@@ -58,14 +63,17 @@ def proper_compositions(h, char, max_ground=GROUND_CAP):
     block masks (label i of the sorted ground set is bit i), in listing
     order; compositions.mask_labels gives the labels of a mask."""
     char = check_compatible(h, char)
-    n = len(h.ground)
-    if n > max_ground:
-        raise ResourceCapError("ground set size %d exceeds cap %d" % (n, max_ground))
+    _check_ground(len(h.ground), max_ground)
     table = _next_blocks(h, char, mask_labels(h.ground))
     found = _walk(table, len(table) - 1, table[-1])
     if h.kind == "gen_permutohedron":
         found = _points_filter(h, found)
     return list(found)
+
+
+def _check_ground(n, max_ground):
+    if n > max_ground:
+        raise ResourceCapError("ground set size %d exceeds cap %d" % (n, max_ground))
 
 
 def _submasks(R):
@@ -204,7 +212,22 @@ class ClassQSym:
 def psi(h, char, group, max_ground=GROUND_CAP):
     """The quasisymmetric class function of (h, char) under a group of
     automorphisms of h.  Every generator is checked; a non-automorphism is
-    reported by name."""
+    reported by name.
+
+    Each coefficient is counted once per conjugacy class, at its
+    representative g, without listing compositions: _fixed_types runs the
+    set-partition recursion over the next-block table with only the
+    blocks g maps onto themselves.  g fixes a composition exactly when it
+    maps every block onto itself, and if R and S are g-stable so is R - S;
+    so every g-fixed composition is one path through g-stable remainders,
+    and the recursion counts exactly the compositions g fixes.  The count
+    is constant on g's class, since an automorphism x maps the proper
+    compositions bijectively onto themselves and those fixed by g onto
+    those fixed by x g x^-1.
+
+    Point collections are the exception: their rule scores whole
+    compositions, so those are listed, filtered and counted at every
+    element by fixed_qsym."""
     char = check_compatible(h, char)
     if group.ground != h.ground:
         raise DomainError("group acts on %r, structure lives on %r"
@@ -213,31 +236,70 @@ def psi(h, char, group, max_ground=GROUND_CAP):
         if not automorphism_check(h, g):
             raise DomainError("generator %s is not an automorphism of the structure"
                               % g.cycle_string())
-    return fixed_qsym(group, len(h.ground), (
-        (tuple(S.bit_count() for S in c), c)
-        for c in proper_compositions(h, char, max_ground=max_ground)))
+    n = len(h.ground)
+    if h.kind == "gen_permutohedron":
+        by_type = {}
+        for c in proper_compositions(h, char, max_ground=max_ground):
+            by_type.setdefault(tuple(S.bit_count() for S in c), []).append(c)
+        return fixed_qsym(group, n, by_type.items())
+    _check_ground(n, max_ground)
+    table = _next_blocks(h, char, mask_labels(h.ground))
+    stable = group.stabilizer_bits
+    per_class = [_fixed_types(table, stable, group.elements.index(rep))
+                 for rep in group.class_reps]
+    return ClassQSym(n, group, {
+        IntComposition(parts): ClassFunction(group, tuple(f.get(parts, 0) for f in per_class))
+        for parts in set().union(*per_class)})
 
 
-def fixed_qsym(group, n, objects):
+def _fixed_types(table, stable, k):
+    """Type -> number of proper compositions fixed by group element k,
+    given the next-block table and the group's stabilizer_bits.
+
+    f(R) maps each type of the blocks still to come, once R is left to
+    place, to its count: f(0) = {(): 1}, and f(R) sums (|S|,) + t over the
+    S in table[R] that element k maps onto themselves, for every t of
+    f(R - S).  Memoized, so each remainder is expanded once."""
+    memo = {0: {(): 1}}
+
+    def f(R):
+        out = memo.get(R)
+        if out is None:
+            out = {}
+            for S in table[R]:
+                if stable[S] >> k & 1:
+                    head = (S.bit_count(),)
+                    for t, cnt in f(R ^ S).items():
+                        t = head + t
+                        out[t] = out.get(t, 0) + cnt
+            memo[R] = out
+        return out
+
+    return f(len(table) - 1)
+
+
+def fixed_qsym(group, n, groups):
     """The quasisymmetric class function of degree n whose coefficient of
     each type counts, at every g, the objects of that type g fixes.
 
-    objects yields (parts, masks) pairs: a set composition with its block
-    masks, or a flag with its member masks.  g fixes one exactly when it
-    maps every mask onto itself, so the elements fixing it are the AND of
-    group.stabilizer_bits over its masks (bit k for group.elements[k]);
-    for a set composition that is the test act(g, c) == c.  Objects are
-    tallied by parts and fixing bitset, the value at g sums the tallies
-    whose bitset holds g, and class constancy is checked."""
+    groups yields (parts, chains) pairs: a type and the mask tuples of
+    its objects, the block masks of set compositions or the member masks
+    of flags.  g fixes one exactly when it maps every mask onto itself,
+    so the elements fixing it are the AND of group.stabilizer_bits over
+    its masks (bit k for group.elements[k]); for a set composition that
+    is the test act(g, c) == c.  Objects are tallied by type and fixing
+    bitset, the value at g sums the tallies whose bitset holds g, and
+    class constancy is checked."""
     stable = group.stabilizer_bits
     everyone = (1 << group.order) - 1
     tallies = {}
-    for parts, masks in objects:
-        fixers = everyone
-        for m in masks:
-            fixers &= stable[m]
+    for parts, chains in groups:
         tally = tallies.setdefault(parts, {})
-        tally[fixers] = tally.get(fixers, 0) + 1
+        for masks in chains:
+            fixers = everyone
+            for m in masks:
+                fixers &= stable[m]
+            tally[fixers] = tally.get(fixers, 0) + 1
     elements = group.elements
     return ClassQSym(n, group, {
         IntComposition(parts): ClassFunction.from_element_values(group, {

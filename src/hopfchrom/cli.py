@@ -30,8 +30,8 @@ def _add_common(p, max_ground_default):
     p.add_argument("--input", required=True, help="job JSON file")
     p.add_argument("--output", help="write the result here instead of stdout")
     p.add_argument("--workers", type=int, default=1,
-                   help="deprecated and ignored (at least 1): compositions are "
-                        "listed serially")
+                   help="deprecated and ignored (at least 1): every command runs "
+                        "serially")
     p.add_argument("--max-ground", type=int, default=max_ground_default,
                    help="ground size cap (default %d)" % max_ground_default)
     p.add_argument("--max-group-order", type=int, default=GROUP_ORDER_CAP,
@@ -92,8 +92,8 @@ def _job(args, need_char=True):
     if args.workers < 1:
         raise DomainError("workers must be at least 1, got %d" % args.workers)
     if args.workers > 1:
-        warn("--workers is deprecated and ignored: proper compositions are "
-             "listed serially", FutureWarning, stacklevel=2)
+        warn("--workers is deprecated and ignored: every command runs "
+             "serially", FutureWarning, stacklevel=2)
     jobio.check_colors(getattr(args, "colors", None))
     h, char, group, colors = jobio.read_job(args.input, group_cap=args.max_group_order)
     if need_char and char is None:
@@ -213,17 +213,16 @@ def cmd_oracle(args):
     return 0
 
 
-def fixture_dir():
-    return os.path.join(os.path.dirname(__file__), "fixtures")
-
-
 def load_fixtures(name=None):
+    """The bundled fixtures in file-name order, or the one named `name`.
+    They are read as package resources, so a zipped install finds them."""
+    # imported here: importlib.resources pulls in pathlib and zipfile, which
+    # no other command needs at startup
+    from importlib.resources import files
     out = []
-    for fn in sorted(os.listdir(fixture_dir())):
-        if not fn.endswith(".json"):
-            continue
-        with open(os.path.join(fixture_dir(), fn)) as fh:
-            fx = json.load(fh)
+    found = (files("hopfchrom") / "fixtures").iterdir()
+    for entry in sorted((e for e in found if e.name.endswith(".json")), key=lambda e: e.name):
+        fx = json.loads(entry.read_text(encoding="utf-8"))
         if name is None or fx["name"] == name:
             out.append(fx)
     if name is not None and not out:

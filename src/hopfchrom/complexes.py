@@ -20,11 +20,13 @@ from the top faces; BalancedRelativeComplex._validate proves both
 equivalent to the scans over all faces.
 
 hilb packages fixed-face counts per size set into the same kind of
-quasisymmetric class function that psi produces, through the same
-counter, chromatic.fixed_qsym: g fixes a flag exactly when it maps every
-member onto itself, read off the group's stabilizer table.  The two agree
-for coloring complexes, and psi_hilb_diffs names every coefficient where
-they do not.  theta_certificate certifies that
+quasisymmetric class function that psi produces, through the counter
+chromatic.fixed_qsym: g fixes a flag exactly when it maps every member
+onto itself, read off the group's stabilizer table.  hilb counts at
+every element and checks class constancy, psi counts at class
+representatives.  The two agree for coloring complexes, and
+psi_hilb_diffs names every coefficient where they do not.
+theta_certificate certifies that
 coarser-type faces embed into finer-type faces: a 0/1 incidence matrix
 (rows: finer faces) of full column rank, plus generator equivariance.
 Flag members have distinct sizes, so a coarser face lies in a finer one
@@ -285,8 +287,8 @@ def hilb(phi, group):
 
     g fixes a flag exactly when it maps every member onto itself, since
     g keeps member sizes and a flag has one member of each of its sizes;
-    that is the rule psi applies to blocks, so both count through
-    fixed_qsym, here with the parts of each size set found once."""
+    that is the rule psi applies to blocks.  The flags are tallied by
+    fixed_qsym, one size set at a time."""
     if group.ground != phi.ground:
         raise DomainError("group acts on %r, complex lives on %r"
                           % (group.ground, phi.ground))
@@ -295,9 +297,8 @@ def hilb(phi, group):
             raise DomainError("generator %s is not an automorphism of the complex"
                               % g.cycle_string())
     n = len(phi.ground)
-    by_type = ((alpha_of_subset(set(kappa), n).parts, chains)
-               for kappa, chains in phi._types.items())
-    return fixed_qsym(group, n, ((parts, c) for parts, chains in by_type for c in chains))
+    return fixed_qsym(group, n, ((alpha_of_subset(set(kappa), n).parts, chains)
+                                 for kappa, chains in phi._types.items()))
 
 
 def psi_hilb_diffs(X, H):

@@ -1,10 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+import zipfile
 
 import pytest
 
-from hopfchrom import cli
+from hopfchrom import chromatic, cli
 from hopfchrom.cli import load_fixtures, main, run_fixture
 from hopfchrom.complexes import comparable_pairs
 
@@ -172,6 +174,15 @@ def test_exit_code_resource_cap(tmp_path):
     assert err["error"] == "resource_cap"
 
 
+def test_exit_code_small_ground_cap_before_the_table(tmp_path, monkeypatch):
+    def no_table(*args):
+        raise AssertionError("next-block table built above the ground cap")
+
+    monkeypatch.setattr(chromatic, "_next_blocks", no_table)
+    job = _write_job(tmp_path, FOUR_CYCLE_JOB)
+    assert main(["psi", "--input", job, "--max-ground", "3"]) == 3
+
+
 @pytest.mark.parametrize("command", ["psi", "oracle"])
 def test_exit_code_workers_below_one(tmp_path, command):
     job = _write_job(tmp_path, FOUR_CYCLE_JOB)
@@ -300,3 +311,27 @@ def test_fixture_listing_and_all_pass():
 def test_fixtures_subcommand_exit():
     assert main(["fixtures"]) == 0
     assert main(["fixtures", "--run", "--name", "four-cycle-psi"]) == 0
+
+
+def test_fixtures_load_from_a_zipped_package(tmp_path):
+    """Imported from a zip archive, with os.listdir raising as it does for
+    a path inside one, the package still loads every bundled fixture."""
+    package = os.path.dirname(cli.__file__)
+    archive = tmp_path / "hopfchrom.zip"
+    with zipfile.ZipFile(archive, "w") as zf:
+        for folder, _, names in os.walk(package):
+            for name in names:
+                if name.endswith((".py", ".json")):
+                    path = os.path.join(folder, name)
+                    zf.write(path, os.path.relpath(path, os.path.dirname(package)))
+    code = ("import json, os, sys; import hopfchrom.cli as c\n"
+            "assert '.zip' in c.__file__, c.__file__\n"
+            "def no_listdir(path='.'): raise NotADirectoryError(path)\n"
+            "os.listdir = no_listdir\n"
+            "json.dump(c.load_fixtures(), sys.stdout)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(archive)))
+    assert proc.returncode == 0, proc.stderr
+    bundled = load_fixtures()
+    assert len(bundled) == 14
+    assert json.loads(proc.stdout) == bundled

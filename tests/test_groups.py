@@ -116,8 +116,9 @@ def _stabilizer_bits(ground, elements):
     return stable
 
 
-def _dihedral(n):
-    v = tuple("abcdefgh"[:n])
+def dihedral(n):
+    """D_n on the first n letters, as the symmetries of the cycle a b c ..."""
+    v = tuple("abcdefghi"[:n])
     flip = "".join("(%s %s)" % (v[i], v[n - i]) for i in range(1, (n + 1) // 2))
     return PermGroup((Permutation.from_cycles("(%s)" % " ".join(v), v),
                       Permutation.from_cycles(flip, v)))
@@ -126,7 +127,7 @@ def _dihedral(n):
 def test_mask_action_matches_reference():
     """mask_images and the per-group stabilizer table equal the chromatic
     helpers they replaced, on every corpus group and on D7 and D8."""
-    groups = [group for _, _, _, group in corpus()] + [_dihedral(7), _dihedral(8)]
+    groups = [group for _, _, _, group in corpus()] + [dihedral(7), dihedral(8)]
     assert [g.order for g in groups[-2:]] == [14, 16]
     for group in groups:
         for g in group.elements:

@@ -1,22 +1,26 @@
 """Differential tests of the bitmask kernel in chromatic against the
 independent references it replaced: the string-level proper_composition
-over all set compositions, act on whole compositions, and Fraction
-scoring of point collections.  set_compositions turns the kernel's block
-masks into the SetCompositions the references list."""
+over all set compositions, act on whole compositions, Fraction scoring
+of point collections, and listing every proper composition to count psi
+at every group element.  set_compositions turns the kernel's block masks
+into the SetCompositions the references list."""
 
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
-from hopfchrom.chromatic import proper_compositions, psi
+from hopfchrom import chromatic
+from hopfchrom.chromatic import fixed_qsym, proper_compositions, psi
 from hopfchrom.compositions import (SetComposition, act,
                                     enumerate_set_compositions, mask_labels,
                                     type_of)
+from hopfchrom.errors import ResourceCapError
 from hopfchrom.groups import ClassFunction
 from hopfchrom.randgen import GENERATORS, corpus
-from hopfchrom.structures import (PointCollection, _points_proper, contract,
-                                  proper_composition)
+from hopfchrom.structures import (CharacterSpec, Graph, PointCollection,
+                                  _points_proper, contract, proper_composition)
+from test_groups import dihedral
 
 CORPUS = corpus()
 KINDS = sorted(GENERATORS)
@@ -58,6 +62,71 @@ def test_fixed_counts_match_act(kind):
                           for g in group.elements}
             expected = ClassFunction.from_element_values(group, by_element)
             assert X.coefficient(alpha) == expected, (h, char, alpha)
+
+
+def listed_psi(h, char, group):
+    """The former psi route, the reference for the class-representative
+    recursion: every proper composition listed, then counted at every
+    group element by fixed_qsym, which also checks that the counts are
+    constant on conjugacy classes."""
+    return fixed_qsym(group, len(h.ground), (
+        (tuple(S.bit_count() for S in c), (c,)) for c in proper_compositions(h, char)))
+
+
+def cycle_graph(n):
+    v = tuple("abcdefghi"[:n])
+    return Graph(v, frozenset(frozenset({v[i], v[(i + 1) % n]}) for i in range(n)))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_psi_matches_listing_on_corpus(kind):
+    cases = [(h, char, group) for _, h, char, group in CORPUS if h.kind == kind]
+    for h, char, group in cases:
+        assert psi(h, char, group) == listed_psi(h, char, group), (h, char)
+
+
+@pytest.mark.parametrize("n, total", [(7, 23646), (8, 272918), (9, 3543630)])
+def test_psi_matches_listing_on_cycles(n, total):
+    """C_n under D_n with the chromatic character, up to the ground cap;
+    C9 lists 3,543,630 compositions for the reference."""
+    h, char, group = cycle_graph(n), CharacterSpec("chromatic"), dihedral(n)
+    X = psi(h, char, group)
+    assert sum(X.identity_slice().values()) == total
+    assert X == listed_psi(h, char, group)
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    original = getattr(chromatic, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(chromatic, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_psi_lists_only_point_collections(monkeypatch, kind):
+    """Splitting kinds and hypergraphs are counted without listing; point
+    collections list once, since their rule scores whole compositions."""
+    calls = _counting(monkeypatch, "proper_compositions")
+    _, h, char, group = next(case for case in CORPUS if case[1].kind == kind)
+    psi(h, char, group)
+    assert len(calls) == (1 if kind == "gen_permutohedron" else 0)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_psi_cap_refuses_before_the_table(monkeypatch, kind):
+    calls = _counting(monkeypatch, "_next_blocks")
+    _, h, char, group = next(case for case in CORPUS
+                             if case[1].kind == kind and len(case[1].ground) >= 3)
+    with pytest.raises(ResourceCapError):
+        psi(h, char, group, max_ground=len(h.ground) - 1)
+    assert calls == []
+    psi(h, char, group, max_ground=len(h.ground))
+    assert calls == ["_next_blocks"]
 
 
 def test_point_scoring_with_fractional_coordinates():
