@@ -17,7 +17,10 @@ most 3^n pairs however many prefixes reach R:
 - splitting kinds: the minor left at R is contract(h, ground - R), which
   for matroids rests on M/S1/S2 = M/(S1 | S2); S is allowed when the split
   of that minor along S is nonzero and the character is 1 on its
-  restriction to S (on the minor itself when S = R);
+  restriction to S (on the minor itself when S = R).  Both answers come
+  from structures.splitting_memo, the one owner of the splitting
+  calculus, which builds each minor once and which the coloring
+  complex's convexity check reads too;
 - hypergraphs: S is allowed when every edge that meets S and lies inside
   the placed labels together with S meets S in exactly one element;
 - point collections: every S is allowed and whole compositions are
@@ -45,14 +48,14 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import comb, lcm
+from math import comb
 from operator import itemgetter
 
-from .compositions import IntComposition, mask_labels
+from .compositions import IntComposition, submasks
 from .errors import DomainError, ResourceCapError
 from .groups import ClassFunction, burnside_count, leq_char
-from .structures import (automorphism_check, char_value, check_compatible,
-                         coloring_test, contract, restrict, split_is_zero)
+from .structures import (automorphism_check, check_compatible, coloring_test,
+                         splitting_memo)
 
 GROUND_CAP = 9
 ORACLE_GROUND_CAP = 8
@@ -64,7 +67,7 @@ def proper_compositions(h, char, max_ground=GROUND_CAP):
     order; compositions.mask_labels gives the labels of a mask."""
     char = check_compatible(h, char)
     _check_ground(len(h.ground), max_ground)
-    table = _next_blocks(h, char, mask_labels(h.ground))
+    table = _next_blocks(h, char)
     found = _walk(table, len(table) - 1, table[-1])
     if h.kind == "gen_permutohedron":
         found = _points_filter(h, found)
@@ -76,18 +79,12 @@ def _check_ground(n, max_ground):
         raise ResourceCapError("ground set size %d exceeds cap %d" % (n, max_ground))
 
 
-def _submasks(R):
-    """Nonempty submasks of R, in decreasing order."""
-    S = R
-    while S:
-        yield S
-        S = (S - 1) & R
-
-
-def _next_blocks(h, char, labels):
+def _next_blocks(h, char):
     """table[R] for every mask R of labels still to be placed: the masks
     S inside R allowed as the next block.  table[0] is empty and unused.
-    labels is mask_labels of the ground set."""
+    For splitting kinds S is allowed when the split of the minor at R
+    along S is nonzero (S = R needs none) and the character is 1 on its
+    piece S, as the job's structures.splitting_memo answers."""
     ground = h.ground
     full = (1 << len(ground)) - 1
     table = [[]]
@@ -96,14 +93,15 @@ def _next_blocks(h, char, labels):
         edges = [sum(1 << index[x] for x in e) for e in h.edges]
         for R in range(1, full + 1):
             placed = full ^ R
-            table.append([S for S in _submasks(R) if _edges_ok(edges, placed | S, S)])
+            table.append([S for S in submasks(R) if _edges_ok(edges, placed | S, S)])
     elif h.kind == "gen_permutohedron":
         for R in range(1, full + 1):
-            table.append(list(_submasks(R)))
+            table.append(list(submasks(R)))
     else:
+        memo = splitting_memo(h, char)
         for R in range(1, full + 1):
-            minor = h if R == full else contract(h, labels[full ^ R])
-            table.append([S for S in _submasks(R) if _splits(minor, char, labels[S], S == R)])
+            table.append([S for S in submasks(R)
+                          if memo.one(R, S) and (S == R or memo.nonzero(R, S))])
     return table
 
 
@@ -115,15 +113,6 @@ def _edges_ok(edges, covered, S):
         if hit & (hit - 1) and not e & ~covered:
             return False
     return True
-
-
-def _splits(minor, char, S, whole):
-    """Whether block S may be peeled off the minor: a nonzero split and the
-    character 1 on the restriction (on the minor itself when S is all of
-    it)."""
-    if whole:
-        return char_value(minor, char) == 1
-    return not split_is_zero(minor, S) and char_value(restrict(minor, S), char) == 1
 
 
 def _walk(table, R, blocks, prefix=()):
@@ -138,15 +127,13 @@ def _walk(table, R, blocks, prefix=()):
 
 def _points_filter(h, found):
     """Yield the compositions whose block-index weighting has a unique
-    maximizing point, the test of structures._points_proper.  Scores use
-    the points scaled by the lcm of their denominators: a positive factor
-    keeps the set of maximizers, and the arithmetic is on integers.  A
-    label in the j-th block (counting from 1) lies in exactly j of the
-    suffix unions B_i | ... | B_k, so a point scores the sum of its
-    coordinate sums over those unions."""
+    maximizing point, the test of structures._points_proper, scored on
+    the integer points of PointCollection.integer_points.  A label in the
+    j-th block (counting from 1) lies in exactly j of the suffix unions
+    B_i | ... | B_k, so a point scores the sum of its coordinate sums over
+    those unions."""
     n = len(h.ground)
-    scale = lcm(*(c.denominator for p in h.points for c in p))
-    points = [[c.numerator * (scale // c.denominator) for c in p] for p in h.points]
+    points = h.integer_points
     # sums[m]: the coordinate sum over the bits of m, one entry per point
     sums = [[0] * len(points)]
     for m in range(1, 1 << n):
@@ -243,7 +230,7 @@ def psi(h, char, group, max_ground=GROUND_CAP):
             by_type.setdefault(tuple(S.bit_count() for S in c), []).append(c)
         return fixed_qsym(group, n, by_type.items())
     _check_ground(n, max_ground)
-    table = _next_blocks(h, char, mask_labels(h.ground))
+    table = _next_blocks(h, char)
     stable = group.stabilizer_bits
     per_class = [_fixed_types(table, stable, group.elements.index(rep))
                  for rep in group.class_reps]

@@ -14,10 +14,13 @@ coloring_complex builds the face set of all flags of proper compositions
 of a structure; for kinds with a splitting calculus the three convexity
 conditions of the character are verified first, recursively over every
 minor reachable through nonzero splits, and a violation is reported with
-the witnessing subset chain.  Sandwich closure is checked locally, on
-tau - x for every face tau and member x, and purity by a search down
-from the top faces; BalancedRelativeComplex._validate proves both
-equivalent to the scans over all faces.
+the witnessing subset chain.  The minors are label-mask pairs and their
+character values and splits come from structures.splitting_memo, the
+same memo the enumeration kernel's next-block table reads, so one job
+evaluates the splitting calculus once.  Sandwich closure is checked
+locally, on tau - x for every face tau and member x, and purity by a
+search down from the top faces; BalancedRelativeComplex._validate proves
+both equivalent to the scans over all faces.
 
 hilb packages fixed-face counts per size set into the same kind of
 quasisymmetric class function that psi produces, through the counter
@@ -45,13 +48,12 @@ from operator import or_
 
 from .compositions import (Flag, IntComposition, alpha_of_subset,
                            compositions_of, mask_labels, refines,
-                           subset_of_alpha)
+                           submasks, subset_of_alpha)
 # psi is not called here; it stays importable next to hilb, and
 # perfbench/test_perfbench.py checks its tracer rebinds this name
 from .chromatic import GROUND_CAP, fixed_qsym, proper_compositions, psi
 from .errors import DomainError, VerificationFailure
-from .structures import (DIRECT_ONLY_KINDS, char_value, check_compatible,
-                         contract, restrict, split_is_zero)
+from .structures import DIRECT_ONLY_KINDS, check_compatible, splitting_memo
 
 
 class BalancedRelativeComplex:
@@ -197,46 +199,58 @@ def _chain_str(chain):
 def check_balanced_convex(h, char):
     """Verify the three convexity conditions on every minor of h reachable
     through nonzero splits.  Returns None when all hold, else a witness
-    dict naming the condition and the offending subset chain."""
+    dict naming the condition and the offending subset chain.
+
+    The minors are named by label masks and read from
+    structures.splitting_memo; no structure is built here.  A pair (R, T),
+    T inside R, is the minor restrict(contract(h, ground - R), T), and
+    (full, full) is h.  Restricting it to S gives (R, S).  Contracting it
+    by S gives (R - S, T - S), because minors commute:
+    contract(restrict(contract(M, A), T), S) == restrict(contract(M, A |
+    S), T - S), with A = ground - R.  For matroids this is the identity
+    tests/test_kernel.py checks on every corpus matroid and U(3,7); the
+    other five kinds contract by restriction, so both sides are
+    restrict(h, T - S).  Its splits are nonzero(T, .): for those five
+    kinds the minor is restrict(h, T), the memo's minor at T, and a
+    matroid split is never zero.  Its character values are one(R, .).
+
+    Splits are tried by size and then by label tuple, and a minor is
+    walked once per memo key, where the frozenset walk this replaces
+    walked it once per structure.  Both find the same first violation:
+    equal keys mean equal structures, and a minor skipped by either rule
+    has already been walked in full without a violation, since the walk
+    stops at the first one and every minor below a minor is smaller."""
     char = check_compatible(h, char)
     if h.kind in DIRECT_ONLY_KINDS:
         return None
-    seen = set()
+    memo = splitting_memo(h, char)
+    labels, seen = memo.labels, set()
 
-    def walk(cur, trail):
-        if cur in seen:
+    def walk(R, T, trail):
+        key = memo.key(R, T)
+        if key in seen:
             return None
-        seen.add(cur)
-        ground = cur.ground
-        n = len(ground)
-        phi = char_value(cur, char)
-        if n == 1:
-            if phi != 1:
-                return {"condition": 1, "ground": list(ground), "trail": trail,
-                        "detail": "character is 0 on a singleton"}
-            return None
-        splits = []
-        for k in range(1, n):
-            for c in combinations(ground, k):
-                S = frozenset(c)
-                if not split_is_zero(cur, S):
-                    splits.append(S)
+        seen.add(key)
+        phi = memo.one(R, T)
+        witness = {"ground": list(labels[T]), "trail": trail}
+        if not T & (T - 1):
+            return None if phi else dict(witness, condition=1,
+                                         detail="character is 0 on a singleton")
+        splits = sorted((S for S in submasks(T) if S != T and memo.nonzero(T, S)),
+                        key=lambda S: (S.bit_count(), labels[S]))
         if not splits:
-            return {"condition": 2, "ground": list(ground), "trail": trail,
-                    "detail": "no nonzero split exists"}
+            return dict(witness, condition=2, detail="no nonzero split exists")
         for S in splits:
-            left, right = restrict(cur, S), contract(cur, S)
-            if phi == 1 and (char_value(left, char) != 1 or char_value(right, char) != 1):
-                return {"condition": 3, "ground": list(ground),
-                        "subset": sorted(S), "trail": trail,
-                        "detail": "character 1 on the whole but 0 on a piece"}
-            for piece, tag in ((left, "restrict"), (right, "contract")):
-                w = walk(piece, trail + [(tag, tuple(sorted(S)))])
+            if phi and not (memo.one(R, S) and memo.one(R ^ S, T ^ S)):
+                return dict(witness, condition=3, subset=list(labels[S]),
+                            detail="character 1 on the whole but 0 on a piece")
+            for R2, T2, tag in ((R, S, "restrict"), (R ^ S, T ^ S, "contract")):
+                w = walk(R2, T2, trail + [(tag, labels[S])])
                 if w is not None:
                     return w
         return None
 
-    return walk(h, [])
+    return walk(memo.full, memo.full, [])
 
 
 def coloring_complex(h, char, max_ground=GROUND_CAP):

@@ -224,6 +224,14 @@ def mask_labels(ground):
     return labels
 
 
+def submasks(R):
+    """Nonempty submasks of R, in decreasing order."""
+    S = R
+    while S:
+        yield S
+        S = (S - 1) & R
+
+
 def act(g, comp):
     """Apply a permutation of the ground set blockwise: g(C1)|g(C2)|..."""
     return SetComposition(tuple(tuple(g(x) for x in b) for b in comp.blocks))

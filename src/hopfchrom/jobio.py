@@ -22,15 +22,26 @@ from .structures import (CharacterSpec, DoublePoset, Graph, Hypergraph,
 SCHEMA = "1"
 
 
-def _need(obj, field, kind):
+def _need(obj, field, kind, listed=False):
+    """The required list field, checked by _items."""
     if field not in obj:
         raise DomainError("missing field %r for kind %r" % (field, kind))
-    return obj[field]
+    return _items(obj[field], field, listed)
+
+
+def _items(raw, field, listed=False):
+    """raw, a list field, or DomainError naming the field; with listed,
+    each item must be a list too."""
+    if not isinstance(raw, (list, tuple)):
+        raise DomainError("%s is not a list" % field)
+    for i, item in enumerate(raw if listed else ()):
+        _items(item, "%s[%d]" % (field, i))
+    return raw
 
 
 def _pairs(raw, field):
     out = []
-    for i, p in enumerate(raw):
+    for i, p in enumerate(_items(raw, field)):
         if not isinstance(p, (list, tuple)) or len(p) != 2:
             raise DomainError("%s[%d] is not a pair" % (field, i))
         out.append((str(p[0]), str(p[1])))
@@ -38,6 +49,8 @@ def _pairs(raw, field):
 
 
 def parse_structure(kind, obj):
+    if not isinstance(obj, dict):
+        raise DomainError("structure is not a JSON object")
     if kind == "graph":
         ground = tuple(str(v) for v in _need(obj, "vertices", kind))
         edges = frozenset(frozenset(e) for e in _pairs(obj.get("edges", []), "edges"))
@@ -47,7 +60,7 @@ def parse_structure(kind, obj):
         return make_poset(ground, _pairs(obj.get("relations", []), "relations"))
     if kind == "matroid":
         bases = frozenset(frozenset(str(x) for x in b)
-                          for b in _need(obj, "bases", kind))
+                          for b in _need(obj, "bases", kind, True))
         return Matroid(ground, bases)
     if kind == "mixed_graph":
         und = frozenset(frozenset(e) for e in _pairs(obj.get("edges", []), "edges"))
@@ -59,17 +72,17 @@ def parse_structure(kind, obj):
                                  _pairs(obj.get("relations2", []), "relations2"))
     if kind == "hypergraph":
         edges = tuple(sorted(tuple(sorted(str(x) for x in e))
-                             for e in obj.get("edges", [])))
+                             for e in _items(obj.get("edges", []), "edges", True)))
         return Hypergraph(ground, edges)
     if kind == "simplicial_complex":
         faces = frozenset(frozenset(str(x) for x in f)
-                          for f in obj.get("faces", []))
+                          for f in _items(obj.get("faces", []), "faces", True))
         return SimplicialComplex(ground, faces)
     if kind == "gen_permutohedron":
         given = [str(v) for v in _need(obj, "ground", kind)]
         order = {v: i for i, v in enumerate(given)}
         points = []
-        for i, row in enumerate(_need(obj, "points", kind)):
+        for i, row in enumerate(_need(obj, "points", kind, True)):
             if len(row) != len(given):
                 raise DomainError("points[%d] has %d coordinates, ground has %d"
                                   % (i, len(row), len(given)))
@@ -84,7 +97,7 @@ def parse_structure(kind, obj):
 
 def parse_group(raw, ground, cap=GROUP_ORDER_CAP):
     gens = []
-    for i, item in enumerate(raw or []):
+    for i, item in enumerate(_items(raw or [], "group")):
         try:
             gens.append(Permutation.parse(item, ground))
         except DomainError as exc:

@@ -7,7 +7,9 @@ vanishes: posets and double posets need S to be a down-closed set, mixed
 graphs forbid arcs pointing from the complement into S.  Hypergraphs and
 point collections (generalized permutohedra) do not expose
 restrict/contract here; their properness predicate is stated directly on
-whole set compositions.
+whole set compositions.  splitting_memo owns the calculus over label
+masks: each minor built once, each character value and split decided
+once, for the kernel's next-block table and the convexity check alike.
 
 A character assigns 0 or 1 to a structure, multiplicatively over blocks.
 Supported names and the kinds they apply to:
@@ -31,8 +33,11 @@ increasing color order) is.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache
 from itertools import combinations, permutations
+from math import lcm
 
+from .compositions import mask_labels
 from .errors import DomainError, ResourceCapError
 from .groups import Permutation
 
@@ -263,6 +268,16 @@ class PointCollection:
             raise DomainError("need at least one point")
         object.__setattr__(self, "points", tuple(sorted(pts)))
 
+    @cached_property
+    def integer_points(self):
+        """The points scaled by the lcm of their denominators, as integer
+        tuples in the order of points.  A positive factor keeps the set of
+        maximizers of every weighting, so integer scores decide properness
+        exactly as the Fractions do."""
+        scale = lcm(*(c.denominator for p in self.points for c in p))
+        return tuple(tuple(c.numerator * (scale // c.denominator) for c in p)
+                     for p in self.points)
+
 
 KIND_CLASSES = {
     "graph": Graph,
@@ -459,6 +474,61 @@ def char_value(h, char):
 
 
 # ---------------------------------------------------------------------------
+# the splitting calculus on label masks
+
+
+class SplittingMemo:
+    """The splitting calculus of one splitting-kind structure h and a
+    character, over label masks (label i of the sorted ground set is bit
+    i), each answer computed once.  For masks S inside R:
+
+    - one(R, S): is the character 1 on restrict(contract(h, ground - R),
+      S)?  When S = R this is the minor contract(h, ground - R) itself.
+    - nonzero(R, S), S a proper part of R: is the split of that minor
+      along S nonzero?
+
+    minors[R] is the minor at R, each built once.  Graphs, posets, mixed
+    graphs, double posets and simplicial complexes contract by restricting
+    to the complement, so their minor at R is restrict(h, R), and
+    restricting it to S gives minors[S]: for them one(R, S) depends on S
+    alone and is keyed by S, 2^n values.  Matroids key it by (R, S).
+    key(R, T) names the structure restrict(contract(h, ground - R), T):
+    equal keys mean equal structures."""
+
+    def __init__(self, h, char):
+        self.char, self.labels = char, mask_labels(h.ground)
+        full = self.full = len(self.labels) - 1
+        self.minors = ([None] + [contract(h, self.labels[full ^ R]) for R in range(1, full)]
+                       + [h])
+        self._by_restriction = h.kind != "matroid"
+        self._one, self._nonzero = {}, {}
+
+    def key(self, R, T):
+        return T if self._by_restriction else (R, T)
+
+    def one(self, R, S):
+        key = self.key(R, S)
+        if key not in self._one:
+            piece = (self.minors[S] if self._by_restriction or S == R
+                     else restrict(self.minors[R], self.labels[S]))
+            self._one[key] = char_value(piece, self.char) == 1
+        return self._one[key]
+
+    def nonzero(self, R, S):
+        if (R, S) not in self._nonzero:
+            self._nonzero[R, S] = not split_is_zero(self.minors[R], self.labels[S])
+        return self._nonzero[R, S]
+
+
+@lru_cache(maxsize=1)
+def splitting_memo(h, char):
+    """The SplittingMemo of (h, char), a CharacterSpec.  Only the latest
+    one is kept, so the kernel's table and the convexity check of one
+    job share it and the next job replaces it."""
+    return SplittingMemo(h, char)
+
+
+# ---------------------------------------------------------------------------
 # properness of set compositions
 
 
@@ -580,7 +650,7 @@ def coloring_test(h, char):
         big = positions(f for f in h.faces if len(f) > char.s)
         return lambda c: all(len({c[x] for x in face}) != 1 for face in big)
     if h.kind == "gen_permutohedron":
-        return lambda c: _unique_argmax(h.points, c)
+        return lambda c: _unique_argmax(h.integer_points, c)
     raise AssertionError("unhandled kind %s" % h.kind)
 
 

@@ -216,6 +216,28 @@ def test_exit_code_mapping_generator_off_the_ground_set(tmp_path, capsys, mappin
     assert label + " " in err["message"] and "not in the ground set" in err["message"]
 
 
+@pytest.mark.parametrize("job,field", [
+    ({"kind": "graph", "structure": 5}, "structure"),
+    ({"kind": "graph", "vertices": 5}, "vertices"),
+    ({"kind": "poset", "ground": ["a", "b"], "relations": 5}, "relations"),
+    ({"kind": "matroid", "ground": ["a", "b"], "bases": 5}, "bases"),
+    ({"kind": "matroid", "ground": ["a", "b"], "bases": [1]}, "bases[0]"),
+    ({"kind": "mixed_graph", "ground": ["a", "b"], "arcs": 5}, "arcs"),
+    ({"kind": "hypergraph", "ground": ["a", "b"], "edges": [5]}, "edges[0]"),
+    ({"kind": "simplicial_complex", "ground": ["a", "b"], "faces": [5]}, "faces[0]"),
+    ({"kind": "gen_permutohedron", "ground": ["a", "b"], "points": [5]}, "points[0]"),
+    (dict(FOUR_CYCLE_JOB, group=5), "group"),
+])
+def test_exit_code_malformed_list_field(tmp_path, capsys, job, field):
+    """A list field that is not a list, or a list item that is not one,
+    is refused by name (exit 2), never left to a TypeError."""
+    job = _write_job(tmp_path, dict({"character": "zeta"}, **job))
+    assert main(["psi", "--input", job, "--output", str(tmp_path / "o")]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "domain"
+    assert field in err["message"]
+
+
 @pytest.mark.parametrize("colors", [True, False])
 def test_exit_code_boolean_colors(tmp_path, capsys, colors):
     job = _write_job(tmp_path, dict(FOUR_CYCLE_JOB, colors=colors))

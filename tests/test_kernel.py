@@ -6,20 +6,23 @@ at every group element.  set_compositions turns the kernel's block masks
 into the SetCompositions the references list."""
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
 from hopfchrom import chromatic
-from hopfchrom.chromatic import fixed_qsym, proper_compositions, psi
+from hopfchrom.chromatic import (coloring_oracle, fixed_qsym,
+                                 proper_compositions, psi)
 from hopfchrom.compositions import (SetComposition, act,
                                     enumerate_set_compositions, mask_labels,
                                     type_of)
 from hopfchrom.errors import ResourceCapError
 from hopfchrom.groups import ClassFunction
 from hopfchrom.randgen import GENERATORS, corpus
-from hopfchrom.structures import (CharacterSpec, Graph, PointCollection,
-                                  _points_proper, contract, proper_composition)
+from hopfchrom.structures import (CharacterSpec, Graph, Matroid,
+                                  PointCollection, _points_proper,
+                                  _unique_argmax, contract,
+                                  proper_composition, restrict)
 from test_groups import dihedral
 
 CORPUS = corpus()
@@ -130,8 +133,10 @@ def test_psi_cap_refuses_before_the_table(monkeypatch, kind):
 
 
 def test_point_scoring_with_fractional_coordinates():
-    """Randgen points are integral, so the lcm scaling is only exercised by
-    coordinates like these halves and thirds, with ties among them."""
+    """Randgen points are integral, so the lcm scaling of
+    PointCollection.integer_points, which the kernel's filter and the
+    oracle read, is only exercised by coordinates like these halves and
+    thirds, with ties among them."""
     h = PointCollection(("a", "b", "c", "d"), (
         (Fraction(1, 2), Fraction(1, 2), 0, 0),
         (Fraction(1, 3), Fraction(2, 3), 0, 0),
@@ -144,23 +149,41 @@ def test_point_scoring_with_fractional_coordinates():
     expected = [c for c in every if _points_proper(h, c)]
     assert 0 < len(expected) < len(every)
     assert set_compositions(h, "vertex_generic") == expected
+    tuples = list(product(range(1, 4), repeat=4))
+    colorings = [c for c in tuples if _unique_argmax(h.points, c)]
+    assert 0 < len(colorings) < len(tuples)
+    assert coloring_oracle(h, "vertex_generic", 3) == colorings
+
+
+def _subsets(labels, sizes):
+    return [set(c) for k in sizes for c in combinations(labels, k)]
 
 
 def test_matroid_contraction_is_associative():
     """M/S1/S2 = M/(S1 | S2): the kernel contracts once by all placed
-    labels where peeling contracts block by block."""
-    matroids = [h for _, h, _, _ in CORPUS if h.kind == "matroid"]
-    checked = 0
+    labels where peeling contracts block by block.  And minors commute,
+    contract(restrict(M/A, T), S) = restrict(M/(A | S), T - S), which lets
+    the convexity walk name every minor by a pair of label masks."""
+    ground = tuple("abcdefg")
+    u37 = Matroid(ground, frozenset(frozenset(b) for b in combinations(ground, 3)))
+    matroids = [h for _, h, _, _ in CORPUS if h.kind == "matroid"] + [u37]
+    checked = commuted = 0
     for m in matroids:
         ground = m.ground
-        for k1 in range(1, len(ground) - 1):
-            for s1 in combinations(ground, k1):
-                rest = [x for x in ground if x not in s1]
-                for k2 in range(1, len(rest)):
-                    for s2 in combinations(rest, k2):
-                        twice = contract(contract(m, s1), s2)
-                        once = contract(m, set(s1) | set(s2))
-                        assert twice.ground == once.ground
-                        assert twice.bases == once.bases, (m, s1, s2)
-                        checked += 1
-    assert checked
+        for s1 in _subsets(ground, range(1, len(ground) - 1)):
+            rest = [x for x in ground if x not in s1]
+            for s2 in _subsets(rest, range(1, len(rest))):
+                twice = contract(contract(m, s1), s2)
+                once = contract(m, s1 | s2)
+                assert twice.ground == once.ground
+                assert twice.bases == once.bases, (m, s1, s2)
+                checked += 1
+        for A in _subsets(ground, range(len(ground))):
+            minor = contract(m, A) if A else m
+            for T in _subsets(minor.ground, range(2, len(minor.ground) + 1)):
+                piece = restrict(minor, T)
+                for S in _subsets(sorted(T), range(1, len(T))):
+                    assert (contract(piece, S)
+                            == restrict(contract(m, A | S), T - S)), (m, A, T, S)
+                    commuted += 1
+    assert checked and commuted
