@@ -66,7 +66,7 @@ def proper_compositions(h, char, max_ground=GROUND_CAP):
     block masks (label i of the sorted ground set is bit i), in listing
     order; compositions.mask_labels gives the labels of a mask."""
     char = check_compatible(h, char)
-    _check_ground(len(h.ground), max_ground)
+    check_ground(len(h.ground), max_ground)
     table = _next_blocks(h, char)
     found = _walk(table, len(table) - 1, table[-1])
     if h.kind == "gen_permutohedron":
@@ -74,7 +74,7 @@ def proper_compositions(h, char, max_ground=GROUND_CAP):
     return list(found)
 
 
-def _check_ground(n, max_ground):
+def check_ground(n, max_ground):
     if n > max_ground:
         raise ResourceCapError("ground set size %d exceeds cap %d" % (n, max_ground))
 
@@ -229,7 +229,7 @@ def psi(h, char, group, max_ground=GROUND_CAP):
         for c in proper_compositions(h, char, max_ground=max_ground):
             by_type.setdefault(tuple(S.bit_count() for S in c), []).append(c)
         return fixed_qsym(group, n, by_type.items())
-    _check_ground(n, max_ground)
+    check_ground(n, max_ground)
     table = _next_blocks(h, char)
     stable = group.stabilizer_bits
     per_class = [_fixed_types(table, stable, group.elements.index(rep))

@@ -51,7 +51,8 @@ from .compositions import (Flag, IntComposition, alpha_of_subset,
                            submasks, subset_of_alpha)
 # psi is not called here; it stays importable next to hilb, and
 # perfbench/test_perfbench.py checks its tracer rebinds this name
-from .chromatic import GROUND_CAP, fixed_qsym, proper_compositions, psi
+from .chromatic import (GROUND_CAP, check_ground, fixed_qsym,
+                        proper_compositions, psi)
 from .errors import DomainError, VerificationFailure
 from .structures import DIRECT_ONLY_KINDS, check_compatible, splitting_memo
 
@@ -256,12 +257,15 @@ def check_balanced_convex(h, char):
 def coloring_complex(h, char, max_ground=GROUND_CAP):
     """The balanced relative complex of flags of proper compositions.
 
-    For splitting kinds the character's convexity conditions are checked
-    first and a violation raises with the witness; the built complex is
-    then validated structurally (sandwich, purity) in all cases.  The
-    flag of a composition is the chain of its prefix unions, the full
-    ground set dropped, taken straight from the kernel's block masks."""
+    The ground cap is checked first, so an over-cap job builds no
+    splitting memo.  For splitting kinds the character's convexity
+    conditions are checked next and a violation raises with the witness;
+    the built complex is then validated structurally (sandwich, purity)
+    in all cases.  The flag of a composition is the chain of its prefix
+    unions, the full ground set dropped, taken straight from the kernel's
+    block masks."""
     char = check_compatible(h, char)
+    check_ground(len(h.ground), max_ground)
     witness = check_balanced_convex(h, char)
     if witness is not None:
         raise VerificationFailure(

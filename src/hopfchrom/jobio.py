@@ -59,9 +59,11 @@ def parse_structure(kind, obj):
     if kind == "poset":
         return make_poset(ground, _pairs(obj.get("relations", []), "relations"))
     if kind == "matroid":
-        bases = frozenset(frozenset(str(x) for x in b)
-                          for b in _need(obj, "bases", kind, True))
-        return Matroid(ground, bases)
+        bases = [[str(x) for x in b] for b in _need(obj, "bases", kind, True)]
+        for i, b in enumerate(bases):
+            if len(set(b)) != len(b):
+                raise DomainError("bases[%d] repeats a label" % i)
+        return Matroid(ground, frozenset(frozenset(b) for b in bases))
     if kind == "mixed_graph":
         und = frozenset(frozenset(e) for e in _pairs(obj.get("edges", []), "edges"))
         arcs = frozenset(_pairs(obj.get("arcs", []), "arcs"))

@@ -4,12 +4,15 @@ Each kind carries a ground set of string labels.  The six splitting kinds
 know how to restrict to a subset (restrict) and to contract by one
 (contract), and split_is_zero says when the split along (S, complement)
 vanishes: posets and double posets need S to be a down-closed set, mixed
-graphs forbid arcs pointing from the complement into S.  Hypergraphs and
-point collections (generalized permutohedra) do not expose
-restrict/contract here; their properness predicate is stated directly on
-whole set compositions.  splitting_memo owns the calculus over label
-masks: each minor built once, each character value and split decided
-once, for the kernel's next-block table and the convexity check alike.
+graphs forbid arcs pointing from the complement into S.  A matroid minor
+is one filter over the bases: those meeting S in the most elements, cut
+to S for the restriction and to the complement for the contraction.
+Hypergraphs and point collections (generalized permutohedra) do not
+expose restrict/contract here; their properness predicate is stated
+directly on whole set compositions.  splitting_memo owns the calculus
+over label masks: each minor built once, each character value and split
+decided once, for the kernel's next-block table and the convexity check
+alike.
 
 A character assigns 0 or 1 to a structure, multiplicatively over blocks.
 Supported names and the kinds they apply to:
@@ -353,7 +356,13 @@ def check_compatible(h, char):
 
 
 def restrict(h, S):
-    """The induced structure on S (a nonempty subset of the ground set)."""
+    """The induced structure on S (a nonempty subset of the ground set).
+
+    A matroid M gives the bases B & S of largest size, over the bases B
+    of M.  Every independent subset I of S extends to a basis B of M, and
+    when I is maximal in S, B & S (independent, containing I) equals I.
+    So the bases of M|S, the maximal independent subsets of S, are
+    exactly these top-size traces; a loop-only S gives one empty basis."""
     S = frozenset(S)
     _check_subset(h, S)
     if h.kind == "graph":
@@ -361,9 +370,8 @@ def restrict(h, S):
     if h.kind == "poset":
         return Poset(tuple(S), frozenset(p for p in h.less if p[0] in S and p[1] in S))
     if h.kind == "matroid":
-        ind = _independents_within(h, S)
-        top = max(len(i) for i in ind)
-        return Matroid(tuple(S), frozenset(i for i in ind if len(i) == top))
+        top = max(len(b & S) for b in h.bases)
+        return Matroid(tuple(S), frozenset(b & S for b in h.bases if len(b & S) == top))
     if h.kind == "mixed_graph":
         return MixedGraph(tuple(S),
                           frozenset(e for e in h.undirected if e <= S),
@@ -378,19 +386,23 @@ def restrict(h, S):
 
 
 def contract(h, S):
-    """The structure induced on the complement of S after splitting off S."""
+    """The structure induced on the complement of S after splitting off S.
+
+    A matroid M gives the sets B - S over the same bases B as restrict,
+    those meeting S in a basis I = B & S of M|S.  M/S fixes one such I
+    and takes the J outside S with I | J a basis of M.  Those J do not
+    depend on I: since I spans S, I | J is a basis exactly when
+    |J| = rank(M) - rank(S) and rank(J | S) = |J| + rank(S) (Oxley,
+    Matroid Theory, 3.1.7).  So the union over every I equals the set
+    the lexicographically first I gave."""
     S = frozenset(S)
     _check_subset(h, S)
     rest = frozenset(h.ground) - S
     if not rest:
         raise DomainError("cannot contract the full ground set")
     if h.kind == "matroid":
-        b_s = _canonical_max_independent(h, S)
-        target = h.rank - len(b_s)
-        new_bases = frozenset(
-            frozenset(i) for i in combinations(sorted(rest), target)
-            if _independent(h, frozenset(i) | b_s))
-        return Matroid(tuple(rest), new_bases)
+        top = max(len(b & S) for b in h.bases)
+        return Matroid(tuple(rest), frozenset(b - S for b in h.bases if len(b & S) == top))
     if h.kind in ("graph", "poset", "mixed_graph", "double_poset", "simplicial_complex"):
         return restrict(h, rest)
     raise DomainError("kind %s has no contraction; its properness test is direct" % h.kind)
@@ -417,27 +429,6 @@ def _check_subset(h, S):
         raise DomainError("subset must be nonempty")
     if not S <= set(h.ground):
         raise DomainError("%r is not a subset of the ground set" % (sorted(S),))
-
-
-def _independent(m, I):
-    return any(I <= b for b in m.bases)
-
-
-def _independents_within(m, S):
-    out = []
-    S = sorted(S)
-    for k in range(len(S) + 1):
-        for c in combinations(S, k):
-            if _independent(m, frozenset(c)):
-                out.append(frozenset(c))
-    return out
-
-
-def _canonical_max_independent(m, S):
-    """Lexicographically first maximum independent subset of S."""
-    ind = _independents_within(m, S)
-    top = max(len(i) for i in ind)
-    return min((i for i in ind if len(i) == top), key=lambda i: tuple(sorted(i)))
 
 
 # ---------------------------------------------------------------------------

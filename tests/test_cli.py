@@ -6,9 +6,11 @@ import zipfile
 
 import pytest
 
-from hopfchrom import chromatic, cli
+from hopfchrom import chromatic, cli, structures
 from hopfchrom.cli import load_fixtures, main, run_fixture
-from hopfchrom.complexes import comparable_pairs
+from hopfchrom.complexes import coloring_complex, comparable_pairs
+from hopfchrom.errors import ResourceCapError
+from hopfchrom.structures import CharacterSpec, Graph
 
 FOUR_CYCLE_JOB = {
     "kind": "graph",
@@ -183,6 +185,27 @@ def test_exit_code_small_ground_cap_before_the_table(tmp_path, monkeypatch):
     assert main(["psi", "--input", job, "--max-ground", "3"]) == 3
 
 
+@pytest.mark.parametrize("command", ["complex", "certify"])
+def test_exit_code_small_ground_cap_before_the_splitting_memo(tmp_path, capsys,
+                                                              monkeypatch, command):
+    """complex and certify check the ground cap before the convexity walk,
+    so an over-cap job exits 3 without building a splitting memo."""
+    def no_memo(*args):
+        raise AssertionError("splitting memo built above the ground cap")
+
+    structures.splitting_memo.cache_clear()
+    monkeypatch.setattr(structures, "SplittingMemo", no_memo)
+    job = _write_job(tmp_path, {"kind": "graph", "character": "zeta",
+                                "structure": {"vertices": list("abcde"), "edges": []}})
+    assert main([command, "--input", job, "--max-ground", "4"]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "resource_cap"
+    assert err["message"] == "ground set size 5 exceeds cap 4"
+    h = Graph(tuple("abcde"), frozenset())
+    with pytest.raises(ResourceCapError):
+        coloring_complex(h, CharacterSpec("zeta"), max_ground=4)
+
+
 @pytest.mark.parametrize("command", ["psi", "oracle"])
 def test_exit_code_workers_below_one(tmp_path, command):
     job = _write_job(tmp_path, FOUR_CYCLE_JOB)
@@ -227,10 +250,16 @@ def test_exit_code_mapping_generator_off_the_ground_set(tmp_path, capsys, mappin
     ({"kind": "simplicial_complex", "ground": ["a", "b"], "faces": [5]}, "faces[0]"),
     ({"kind": "gen_permutohedron", "ground": ["a", "b"], "points": [5]}, "points[0]"),
     (dict(FOUR_CYCLE_JOB, group=5), "group"),
+    ({"kind": "matroid", "ground": ["a", "b"], "bases": [["a", "a"], ["b", "b"]]},
+     "bases[0] repeats a label"),
+    ({"kind": "matroid", "ground": ["a", "b", "c"], "bases": [["a", "b"], ["c", "c"]]},
+     "bases[1] repeats a label"),
 ])
 def test_exit_code_malformed_list_field(tmp_path, capsys, job, field):
     """A list field that is not a list, or a list item that is not one,
-    is refused by name (exit 2), never left to a TypeError."""
+    is refused by name (exit 2), never left to a TypeError.  A matroid
+    basis that repeats a label is refused too, never collapsed into a
+    smaller set: [["a", "a"], ["b", "b"]] would run as a rank-1 matroid."""
     job = _write_job(tmp_path, dict({"character": "zeta"}, **job))
     assert main(["psi", "--input", job, "--output", str(tmp_path / "o")]) == 2
     err = json.loads(capsys.readouterr().err)
