@@ -88,7 +88,7 @@ def _write(result, args):
         jobio.dump(result, sys.stdout)
 
 
-def _job(args, need_char=True):
+def _job(args):
     if args.workers < 1:
         raise DomainError("workers must be at least 1, got %d" % args.workers)
     if args.workers > 1:
@@ -96,7 +96,7 @@ def _job(args, need_char=True):
              "serially", FutureWarning, stacklevel=2)
     jobio.check_colors(getattr(args, "colors", None))
     h, char, group, colors = jobio.read_job(args.input, group_cap=args.max_group_order)
-    if need_char and char is None:
+    if char is None:
         raise DomainError("missing field 'character'")
     return h, char, group, colors
 
@@ -118,8 +118,7 @@ def cmd_orbital(args):
     result = {"schema": jobio.SCHEMA, "command": "orbital", "kind": h.kind,
               "character": str(char), "group": jobio.group_to_json(group),
               "degree": X.degree,
-              "coefficients": {str(a): orb[a] for a in sorted(
-                  orb, key=lambda a: (a.length, a.parts))}}
+              "coefficients": {str(a): v for a, v in orb.items()}}
     _write(result, args)
     return 0
 
@@ -158,8 +157,7 @@ def cmd_complex(args):
               "character": str(char), "ground": list(phi.ground),
               "dimension": phi.dimension,
               "faces": jobio.flags_to_json(phi),
-              "flag_f_vector": {",".join(map(str, k)): v
-                                for k, v in sorted(fv.items())}}
+              "flag_f_vector": {",".join(map(str, k)): v for k, v in fv.items()}}
     H = hilb(phi, group)
     result["group"] = jobio.group_to_json(group)
     result["hilb"] = jobio.qsym_to_json(H)
@@ -202,9 +200,7 @@ def cmd_oracle(args):
     result = {"schema": jobio.SCHEMA, "command": "oracle", "kind": h.kind,
               "character": str(char), "colors": k,
               "total": len(cols),
-              "by_type": {str(t): c for t, c in sorted(
-                  colorings_by_type(cols).items(),
-                  key=lambda kv: (kv[0].length, kv[0].parts))},
+              "by_type": {str(t): c for t, c in colorings_by_type(cols).items()},
               "fixed_by_class": [
                   {"rep": rep.cycle_string(), "size": size, "count": jobio._count(v)}
                   for rep, size, v in zip(group.class_reps, group.class_sizes,

@@ -39,6 +39,19 @@ def _items(raw, field, listed=False):
     return raw
 
 
+def _label_sets(raw, field):
+    """The items of a list field as lists of label strings; an item that
+    repeats a label is refused by index, never collapsed into a smaller
+    set."""
+    out = []
+    for i, item in enumerate(_items(raw, field, True)):
+        labels = [str(x) for x in item]
+        if len(set(labels)) != len(labels):
+            raise DomainError("%s[%d] repeats a label" % (field, i))
+        out.append(labels)
+    return out
+
+
 def _pairs(raw, field):
     out = []
     for i, p in enumerate(_items(raw, field)):
@@ -52,34 +65,24 @@ def parse_structure(kind, obj):
     if not isinstance(obj, dict):
         raise DomainError("structure is not a JSON object")
     if kind == "graph":
-        ground = tuple(str(v) for v in _need(obj, "vertices", kind))
-        edges = frozenset(frozenset(e) for e in _pairs(obj.get("edges", []), "edges"))
-        return Graph(tuple(sorted(ground)), edges)
+        return Graph(tuple(str(v) for v in _need(obj, "vertices", kind)),
+                     _pairs(obj.get("edges", []), "edges"))
     ground = tuple(sorted(str(v) for v in _need(obj, "ground", kind)))
     if kind == "poset":
         return make_poset(ground, _pairs(obj.get("relations", []), "relations"))
     if kind == "matroid":
-        bases = [[str(x) for x in b] for b in _need(obj, "bases", kind, True)]
-        for i, b in enumerate(bases):
-            if len(set(b)) != len(b):
-                raise DomainError("bases[%d] repeats a label" % i)
-        return Matroid(ground, frozenset(frozenset(b) for b in bases))
+        return Matroid(ground, _label_sets(_need(obj, "bases", kind), "bases"))
     if kind == "mixed_graph":
-        und = frozenset(frozenset(e) for e in _pairs(obj.get("edges", []), "edges"))
-        arcs = frozenset(_pairs(obj.get("arcs", []), "arcs"))
-        return MixedGraph(ground, und, arcs)
+        return MixedGraph(ground, _pairs(obj.get("edges", []), "edges"),
+                          _pairs(obj.get("arcs", []), "arcs"))
     if kind == "double_poset":
         return make_double_poset(ground,
                                  _pairs(obj.get("relations1", []), "relations1"),
                                  _pairs(obj.get("relations2", []), "relations2"))
     if kind == "hypergraph":
-        edges = tuple(sorted(tuple(sorted(str(x) for x in e))
-                             for e in _items(obj.get("edges", []), "edges", True)))
-        return Hypergraph(ground, edges)
+        return Hypergraph(ground, _label_sets(obj.get("edges", []), "edges"))
     if kind == "simplicial_complex":
-        faces = frozenset(frozenset(str(x) for x in f)
-                          for f in _items(obj.get("faces", []), "faces", True))
-        return SimplicialComplex(ground, faces)
+        return SimplicialComplex(ground, _label_sets(obj.get("faces", []), "faces"))
     if kind == "gen_permutohedron":
         given = [str(v) for v in _need(obj, "ground", kind)]
         order = {v: i for i, v in enumerate(given)}

@@ -1,18 +1,23 @@
 """The eight supported structure kinds and their splitting calculus.
 
-Each kind carries a ground set of string labels.  The six splitting kinds
-know how to restrict to a subset (restrict) and to contract by one
-(contract), and split_is_zero says when the split along (S, complement)
-vanishes: posets and double posets need S to be a down-closed set, mixed
-graphs forbid arcs pointing from the complement into S.  A matroid minor
-is one filter over the bases: those meeting S in the most elements, cut
-to S for the restriction and to the complement for the contraction.
-Hypergraphs and point collections (generalized permutohedra) do not
-expose restrict/contract here; their properness predicate is stated
-directly on whole set compositions.  splitting_memo owns the calculus
-over label masks: each minor built once, each character value and split
-decided once, for the kernel's next-block table and the convexity check
-alike.
+Each kind carries a ground set of string labels.  For the six splitting
+kinds one table, ITEMS, names the fields that hold label items (edges,
+relation pairs, bases, arcs, faces: each item a set or an ordered pair
+of labels), in constructor order after the ground set.  Restriction,
+contraction and relabeling are stated once over it: restrict keeps the
+items inside S, contract restricts to the complement, and a permutation
+is an automorphism when it maps every item field onto itself.  ORDER
+names the relation of posets, double posets and mixed graphs whose pairs
+running from the complement into S make the split along (S, complement)
+vanish; the other splitting kinds never split to zero.  A matroid minor
+is one filter over the bases instead: those meeting S in the most
+elements, cut to S for the restriction and to the complement for the
+contraction.  Hypergraphs and point collections (DIRECT_ONLY_KINDS,
+generalized permutohedra for the latter) do not restrict or contract
+here; their properness predicate is stated directly on whole set
+compositions.  splitting_memo owns the calculus over label masks: each
+minor built once, each character value and split decided once, for the
+kernel's next-block table and the convexity check alike.
 
 A character assigns 0 or 1 to a structure, multiplicatively over blocks.
 Supported names and the kinds they apply to:
@@ -341,7 +346,21 @@ CHARACTER_KINDS = {
     "vertex_generic": {"gen_permutohedron"},
 }
 
-DIRECT_ONLY_KINDS = {"hypergraph", "gen_permutohedron"}
+# The fields of each splitting kind that hold label items, in constructor
+# order after the ground set; an item is a set or an ordered pair of labels.
+ITEMS = {
+    "graph": ("edges",),
+    "poset": ("less",),
+    "matroid": ("bases",),
+    "mixed_graph": ("undirected", "directed"),
+    "double_poset": ("less1", "less2"),
+    "simplicial_complex": ("faces",),
+}
+
+# The relation whose pairs (a, b), a outside S and b in S, make a split zero.
+ORDER = {"poset": "less", "double_poset": "less1", "mixed_graph": "directed"}
+
+DIRECT_ONLY_KINDS = set(KIND_CLASSES) - set(ITEMS)
 
 
 def check_compatible(h, char):
@@ -356,7 +375,8 @@ def check_compatible(h, char):
 
 
 def restrict(h, S):
-    """The induced structure on S (a nonempty subset of the ground set).
+    """The induced structure on S (a nonempty subset of the ground set):
+    the items of every ITEMS field that lie inside S.
 
     A matroid M gives the bases B & S of largest size, over the bases B
     of M.  Every independent subset I of S extends to a basis B of M, and
@@ -365,24 +385,13 @@ def restrict(h, S):
     exactly these top-size traces; a loop-only S gives one empty basis."""
     S = frozenset(S)
     _check_subset(h, S)
-    if h.kind == "graph":
-        return Graph(tuple(S), frozenset(e for e in h.edges if e <= S))
-    if h.kind == "poset":
-        return Poset(tuple(S), frozenset(p for p in h.less if p[0] in S and p[1] in S))
     if h.kind == "matroid":
         top = max(len(b & S) for b in h.bases)
         return Matroid(tuple(S), frozenset(b & S for b in h.bases if len(b & S) == top))
-    if h.kind == "mixed_graph":
-        return MixedGraph(tuple(S),
-                          frozenset(e for e in h.undirected if e <= S),
-                          frozenset(a for a in h.directed if a[0] in S and a[1] in S))
-    if h.kind == "double_poset":
-        return DoublePoset(tuple(S),
-                           frozenset(p for p in h.less1 if p[0] in S and p[1] in S),
-                           frozenset(p for p in h.less2 if p[0] in S and p[1] in S))
-    if h.kind == "simplicial_complex":
-        return SimplicialComplex(tuple(S), frozenset(f for f in h.faces if f <= S))
-    raise DomainError("kind %s has no restriction; its properness test is direct" % h.kind)
+    if h.kind not in ITEMS:
+        raise DomainError("kind %s has no restriction; its properness test is direct" % h.kind)
+    return type(h)(tuple(S), *(frozenset(filter(S.issuperset, getattr(h, f)))
+                               for f in ITEMS[h.kind]))
 
 
 def contract(h, S):
@@ -394,7 +403,8 @@ def contract(h, S):
     depend on I: since I spans S, I | J is a basis exactly when
     |J| = rank(M) - rank(S) and rank(J | S) = |J| + rank(S) (Oxley,
     Matroid Theory, 3.1.7).  So the union over every I equals the set
-    the lexicographically first I gave."""
+    the lexicographically first I gave.  Every other splitting kind
+    contracts by restricting to the complement."""
     S = frozenset(S)
     _check_subset(h, S)
     rest = frozenset(h.ground) - S
@@ -403,25 +413,20 @@ def contract(h, S):
     if h.kind == "matroid":
         top = max(len(b & S) for b in h.bases)
         return Matroid(tuple(rest), frozenset(b - S for b in h.bases if len(b & S) == top))
-    if h.kind in ("graph", "poset", "mixed_graph", "double_poset", "simplicial_complex"):
+    if h.kind in ITEMS:
         return restrict(h, rest)
     raise DomainError("kind %s has no contraction; its properness test is direct" % h.kind)
 
 
 def split_is_zero(h, S):
-    """Whether the split of h along (S, complement) vanishes."""
+    """Whether the split of h along (S, complement) vanishes: some pair of
+    the kind's ORDER relation runs from the complement into S."""
     S = frozenset(S)
     _check_subset(h, S)
-    rest = frozenset(h.ground) - S
-    if h.kind in ("graph", "matroid", "simplicial_complex"):
-        return False
-    if h.kind == "poset":
-        return any(a in rest and b in S for a, b in h.less)
-    if h.kind == "double_poset":
-        return any(a in rest and b in S for a, b in h.less1)
-    if h.kind == "mixed_graph":
-        return any(u in rest and v in S for u, v in h.directed)
-    raise DomainError("kind %s has no splitting; its properness test is direct" % h.kind)
+    if h.kind not in ITEMS:
+        raise DomainError("kind %s has no splitting; its properness test is direct" % h.kind)
+    field = ORDER.get(h.kind)
+    return field is not None and any(a not in S and b in S for a, b in getattr(h, field))
 
 
 def _check_subset(h, S):
@@ -668,36 +673,28 @@ def _unique_min_basis(bases, c):
 
 
 def automorphism_check(h, g):
-    """Whether a permutation of the ground set preserves the structure."""
+    """Whether a permutation of the ground set preserves the structure:
+    g maps every ITEMS field onto itself, item by item.
+
+    A hypergraph compares its edge multiset, sorted.  A point collection
+    compares its integer_points with coordinates permuted: scaling by one
+    positive factor is injective and commutes with permuting coordinates,
+    so g maps the points onto themselves exactly when it maps the scaled
+    points onto themselves."""
     if tuple(sorted(g.ground)) != h.ground:
         raise DomainError("permutation acts on a different ground set")
-    if h.kind == "graph":
-        return frozenset(frozenset(g(x) for x in e) for e in h.edges) == h.edges
-    if h.kind == "poset":
-        return frozenset((g(a), g(b)) for a, b in h.less) == h.less
-    if h.kind == "matroid":
-        return frozenset(frozenset(g(x) for x in b) for b in h.bases) == h.bases
-    if h.kind == "mixed_graph":
-        return (frozenset(frozenset(g(x) for x in e) for e in h.undirected) == h.undirected
-                and frozenset((g(u), g(v)) for u, v in h.directed) == h.directed)
-    if h.kind == "double_poset":
-        return (frozenset((g(a), g(b)) for a, b in h.less1) == h.less1
-                and frozenset((g(a), g(b)) for a, b in h.less2) == h.less2)
     if h.kind == "hypergraph":
         mapped = sorted(tuple(sorted(g(x) for x in e)) for e in h.edges)
         return tuple(mapped) == h.edges
-    if h.kind == "simplicial_complex":
-        return frozenset(frozenset(g(x) for x in f) for f in h.faces) == h.faces
     if h.kind == "gen_permutohedron":
-        idx = {x: i for i, x in enumerate(h.ground)}
-        mapped = set()
-        for p in h.points:
-            q = [None] * len(p)
-            for x, c in zip(h.ground, p):
-                q[idx[g(x)]] = c
-            mapped.add(tuple(q))
-        return mapped == set(h.points)
-    raise AssertionError("unhandled kind %s" % h.kind)
+        # reading coordinate j at the position of g(ground[j]) moves the
+        # points by g^-1, which keeps the point set exactly when g does
+        at = {x: i for i, x in enumerate(h.ground)}
+        pull = [at[g(x)] for x in h.ground]
+        points = set(h.integer_points)
+        return {tuple(p[i] for i in pull) for p in points} == points
+    return all(frozenset(type(item)(map(g, item)) for item in getattr(h, f)) == getattr(h, f)
+               for f in ITEMS[h.kind])
 
 
 def automorphisms(h, cap=7):

@@ -94,8 +94,7 @@ def run_verification(h, char, group, k=None, max_ground=VERIFY_GROUND_CAP,
     checks["flawless_orbital"]["f_vector"] = ofvec
 
     burnside = {"ok": True, "orbit_counts": {}}
-    for alpha in sorted(orb, key=lambda a: (a.length, a.parts)):
-        v = orb[alpha]
+    for alpha, v in orb.items():
         ident = X.coefficient(alpha).at_identity()
         entry = {"count": v, "identity": ident}
         if not (0 <= v <= ident):

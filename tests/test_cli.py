@@ -254,12 +254,20 @@ def test_exit_code_mapping_generator_off_the_ground_set(tmp_path, capsys, mappin
      "bases[0] repeats a label"),
     ({"kind": "matroid", "ground": ["a", "b", "c"], "bases": [["a", "b"], ["c", "c"]]},
      "bases[1] repeats a label"),
+    ({"kind": "hypergraph", "character": "unique_local_max", "ground": ["a", "b", "c"],
+      "edges": [["a", "a"], ["b", "c"]]}, "edges[0] repeats a label"),
+    ({"kind": "hypergraph", "character": "unique_local_max", "ground": ["a", "b", "c"],
+      "edges": [["b", "c"], ["c", "a", "c"]]}, "edges[1] repeats a label"),
+    ({"kind": "simplicial_complex", "ground": ["a", "b"], "faces": [["a", "b", "b"]]},
+     "faces[0] repeats a label"),
 ])
 def test_exit_code_malformed_list_field(tmp_path, capsys, job, field):
     """A list field that is not a list, or a list item that is not one,
     is refused by name (exit 2), never left to a TypeError.  A matroid
-    basis that repeats a label is refused too, never collapsed into a
-    smaller set: [["a", "a"], ["b", "b"]] would run as a rank-1 matroid."""
+    basis, a hypergraph edge or a simplicial face that repeats a label is
+    refused too, never collapsed into a smaller set: [["a", "a"], ["b",
+    "b"]] would run as a rank-1 matroid, and the edge ["a", "a"] as the
+    singleton edge {a}."""
     job = _write_job(tmp_path, dict({"character": "zeta"}, **job))
     assert main(["psi", "--input", job, "--output", str(tmp_path / "o")]) == 2
     err = json.loads(capsys.readouterr().err)
