@@ -4,6 +4,17 @@ Subcommands read one JSON job file and write one JSON result (stdout or
 --output).  Exit codes: 0 success, 1 a verification check failed, 2 bad
 input, 3 a resource cap was hit.  Output is deterministic: keys are
 sorted and worker count never changes bytes.
+
+Every job command is one row of COMMANDS: its help text, its default
+ground cap, its result function and its extra options; build_parser
+reads the table.  run_command does what the rows share: the --workers
+and colors checks, reading the job (which must name a character), the
+color count (--colors, else the job's colors, else the ground size),
+the schema, command and character of the result, writing it, and the
+exit code, 1 exactly when the result's top-level "ok" is false (certify
+and verify).  A result function looks up psi, coloring_complex and the
+other computing functions as module globals when it runs, never holding
+them in the table, so a tracer that rebinds those names sees each call.
 """
 
 import argparse
@@ -26,16 +37,83 @@ from .groups import GROUP_ORDER_CAP
 from .verify import VERIFY_GROUND_CAP, run_verification
 
 
-def _add_common(p, max_ground_default):
-    p.add_argument("--input", required=True, help="job JSON file")
-    p.add_argument("--output", help="write the result here instead of stdout")
-    p.add_argument("--workers", type=int, default=1,
-                   help="deprecated and ignored (at least 1): every command runs "
-                        "serially")
-    p.add_argument("--max-ground", type=int, default=max_ground_default,
-                   help="ground size cap (default %d)" % max_ground_default)
-    p.add_argument("--max-group-order", type=int, default=GROUP_ORDER_CAP,
-                   help="group order cap (default %d)" % GROUP_ORDER_CAP)
+def _counted(fields):
+    """A count command: the kind, the group and fields(X) of one psi call."""
+    def result(args, h, char, group, k):
+        X = psi(h, char, group, max_ground=args.max_ground)
+        return {"kind": h.kind, "group": jobio.group_to_json(group), **fields(X)}
+    return result
+
+
+def _orbital(X):
+    return {"degree": X.degree,
+            "coefficients": {str(a): v for a, v in orbital_psi(X).items()}}
+
+
+def _orbital_poly(X):
+    fvec = orbital_polynomial(X)
+    return {"degree": X.degree, "f_vector": fvec,
+            "monomial_basis": [str(c) for c in binomial_to_monomial(fvec)],
+            "flawless": verify_flawless(fvec)}
+
+
+def _complex(args, h, char, group, k):
+    phi = coloring_complex(h, char, max_ground=args.max_ground)
+    fv = flag_f_vector(phi)
+    return {"kind": h.kind, "ground": list(phi.ground), "dimension": phi.dimension,
+            "faces": jobio.flags_to_json(phi),
+            "flag_f_vector": {",".join(map(str, key)): v for key, v in fv.items()},
+            "group": jobio.group_to_json(group),
+            "hilb": jobio.qsym_to_json(hilb(phi, group))}
+
+
+def _certify(args, h, char, group, k):
+    phi = coloring_complex(h, char, max_ground=args.max_ground)
+    pairs = comparable_pairs(len(h.ground), covering_only=(args.pairs == "covering"))
+    certs = [theta_certificate(phi, group, a, b) for a, b in pairs]
+    return {"kind": h.kind, "group": jobio.group_to_json(group),
+            "pairs": [jobio.certificate_to_json(c) for c in certs],
+            "ok": all(c.valid for c in certs)}
+
+
+def _verify(args, h, char, group, k):
+    return run_verification(h, char, group, k=k, max_ground=args.max_ground,
+                            include_oracle=not args.no_oracle)
+
+
+def _oracle(args, h, char, group, k):
+    cols = coloring_oracle(h, char, k, max_ground=args.max_ground)
+    fixed = fixed_coloring_counts(cols, group)
+    return {"kind": h.kind, "colors": k, "total": len(cols),
+            "by_type": {str(t): c for t, c in colorings_by_type(cols).items()},
+            "fixed_by_class": [
+                {"rep": rep.cycle_string(), "size": size, "count": jobio._count(v)}
+                for rep, size, v in zip(group.class_reps, group.class_sizes, fixed.values)]}
+
+
+# name: (help, default ground cap, result function, extra options).  A
+# result function takes (args, structure, character, group, color count)
+# and returns the result without its schema, command and character.
+COMMANDS = {
+    "psi": ("quasisymmetric class function", GROUND_CAP,
+            _counted(jobio.qsym_to_json), {}),
+    "orbital": ("orbit counts per composition", GROUND_CAP, _counted(_orbital), {}),
+    "poly": ("class polynomial in the binomial basis", GROUND_CAP,
+             _counted(lambda X: jobio.poly_to_json(psi_polynomial(X))), {}),
+    "orbital-poly": ("orbit-count polynomial and its inequality report", GROUND_CAP,
+                     _counted(_orbital_poly), {}),
+    "complex": ("coloring complex, faces and flag f-vector", GROUND_CAP, _complex, {}),
+    "certify": ("embedding certificates on refinement pairs", GROUND_CAP, _certify,
+                {"--pairs": {"choices": ("covering", "comparable"), "default": "comparable"}}),
+    "verify": ("full conformance report", VERIFY_GROUND_CAP, _verify,
+               {"--colors": {"type": int, "help": "oracle color count (default: job "
+                                                  "field, else ground size)"},
+                "--no-oracle": {"action": "store_true",
+                                "help": "skip the brute-force oracle"}}),
+    "oracle": ("brute-force proper colorings", ORACLE_GROUND_CAP, _oracle,
+               {"--colors": {"type": int, "help": "color count (default: job field, "
+                                                  "else ground size)"}}),
+}
 
 
 def build_parser():
@@ -43,35 +121,19 @@ def build_parser():
         prog="hopfchrom",
         description="exact chromatic class functions of combinatorial structures")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("psi", help="quasisymmetric class function")
-    _add_common(p, GROUND_CAP)
-
-    p = sub.add_parser("orbital", help="orbit counts per composition")
-    _add_common(p, GROUND_CAP)
-
-    p = sub.add_parser("poly", help="class polynomial in the binomial basis")
-    _add_common(p, GROUND_CAP)
-
-    p = sub.add_parser("orbital-poly", help="orbit-count polynomial and its inequality report")
-    _add_common(p, GROUND_CAP)
-
-    p = sub.add_parser("complex", help="coloring complex, faces and flag f-vector")
-    _add_common(p, GROUND_CAP)
-
-    p = sub.add_parser("certify", help="embedding certificates on refinement pairs")
-    _add_common(p, GROUND_CAP)
-    p.add_argument("--pairs", choices=("covering", "comparable"), default="comparable")
-
-    p = sub.add_parser("verify", help="full conformance report")
-    _add_common(p, VERIFY_GROUND_CAP)
-    p.add_argument("--colors", type=int,
-                   help="oracle color count (default: job field, else ground size)")
-    p.add_argument("--no-oracle", action="store_true", help="skip the brute-force oracle")
-
-    p = sub.add_parser("oracle", help="brute-force proper colorings")
-    _add_common(p, ORACLE_GROUND_CAP)
-    p.add_argument("--colors", type=int, help="color count (default: job field, else ground size)")
+    for name, (text, cap, _, options) in COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--input", required=True, help="job JSON file")
+        p.add_argument("--output", help="write the result here instead of stdout")
+        p.add_argument("--workers", type=int, default=1,
+                       help="deprecated and ignored (at least 1): every command runs "
+                            "serially")
+        p.add_argument("--max-ground", type=int, default=cap,
+                       help="ground size cap (default %d)" % cap)
+        p.add_argument("--max-group-order", type=int, default=GROUP_ORDER_CAP,
+                       help="group order cap (default %d)" % GROUP_ORDER_CAP)
+        for flag, kwargs in options.items():
+            p.add_argument(flag, **kwargs)
 
     p = sub.add_parser("fixtures", help="bundled worked examples")
     p.add_argument("--run", action="store_true", help="recompute each fixture and compare")
@@ -81,132 +143,34 @@ def build_parser():
 
 
 def _write(result, args):
-    if getattr(args, "output", None):
-        with open(args.output, "w") as fh:
-            jobio.dump(result, fh)
-    else:
+    if not args.output:
         jobio.dump(result, sys.stdout)
+        return
+    try:
+        fh = open(args.output, "w")
+    except OSError as exc:
+        raise DomainError("cannot write %s: %s" % (args.output, exc.strerror))
+    with fh:
+        jobio.dump(result, fh)
 
 
-def _job(args):
+def run_command(args):
+    """Run the job command args.command of COMMANDS and write its result;
+    the exit code is 1 exactly when the result's top-level "ok" is false."""
     if args.workers < 1:
         raise DomainError("workers must be at least 1, got %d" % args.workers)
     if args.workers > 1:
         warn("--workers is deprecated and ignored: every command runs "
              "serially", FutureWarning, stacklevel=2)
-    jobio.check_colors(getattr(args, "colors", None))
+    flag = jobio.check_colors(getattr(args, "colors", None))
     h, char, group, colors = jobio.read_job(args.input, group_cap=args.max_group_order)
     if char is None:
         raise DomainError("missing field 'character'")
-    return h, char, group, colors
-
-
-def cmd_psi(args):
-    h, char, group, _ = _job(args)
-    X = psi(h, char, group, max_ground=args.max_ground)
-    result = {"schema": jobio.SCHEMA, "command": "psi", "kind": h.kind,
-              "character": str(char), "group": jobio.group_to_json(group)}
-    result.update(jobio.qsym_to_json(X))
-    _write(result, args)
-    return 0
-
-
-def cmd_orbital(args):
-    h, char, group, _ = _job(args)
-    X = psi(h, char, group, max_ground=args.max_ground)
-    orb = orbital_psi(X)
-    result = {"schema": jobio.SCHEMA, "command": "orbital", "kind": h.kind,
-              "character": str(char), "group": jobio.group_to_json(group),
-              "degree": X.degree,
-              "coefficients": {str(a): v for a, v in orb.items()}}
-    _write(result, args)
-    return 0
-
-
-def cmd_poly(args):
-    h, char, group, _ = _job(args)
-    X = psi(h, char, group, max_ground=args.max_ground)
-    p = psi_polynomial(X)
-    result = {"schema": jobio.SCHEMA, "command": "poly", "kind": h.kind,
-              "character": str(char), "group": jobio.group_to_json(group)}
-    result.update(jobio.poly_to_json(p))
-    _write(result, args)
-    return 0
-
-
-def cmd_orbital_poly(args):
-    h, char, group, _ = _job(args)
-    X = psi(h, char, group, max_ground=args.max_ground)
-    fvec = orbital_polynomial(X)
-    mono = binomial_to_monomial(fvec)
-    result = {"schema": jobio.SCHEMA, "command": "orbital-poly", "kind": h.kind,
-              "character": str(char), "group": jobio.group_to_json(group),
-              "degree": X.degree,
-              "f_vector": fvec,
-              "monomial_basis": [str(c) for c in mono],
-              "flawless": verify_flawless(fvec)}
-    _write(result, args)
-    return 0
-
-
-def cmd_complex(args):
-    h, char, group, _ = _job(args)
-    phi = coloring_complex(h, char, max_ground=args.max_ground)
-    fv = flag_f_vector(phi)
-    result = {"schema": jobio.SCHEMA, "command": "complex", "kind": h.kind,
-              "character": str(char), "ground": list(phi.ground),
-              "dimension": phi.dimension,
-              "faces": jobio.flags_to_json(phi),
-              "flag_f_vector": {",".join(map(str, k)): v for k, v in fv.items()}}
-    H = hilb(phi, group)
-    result["group"] = jobio.group_to_json(group)
-    result["hilb"] = jobio.qsym_to_json(H)
-    _write(result, args)
-    return 0
-
-
-def cmd_certify(args):
-    h, char, group, _ = _job(args)
-    phi = coloring_complex(h, char, max_ground=args.max_ground)
-    n = len(h.ground)
-    certs = []
-    for a, b in comparable_pairs(n, covering_only=(args.pairs == "covering")):
-        certs.append(theta_certificate(phi, group, a, b))
-    result = {"schema": jobio.SCHEMA, "command": "certify", "kind": h.kind,
-              "character": str(char), "group": jobio.group_to_json(group),
-              "pairs": [jobio.certificate_to_json(c) for c in certs],
-              "ok": all(c.valid for c in certs)}
-    _write(result, args)
-    return 0 if result["ok"] else 1
-
-
-def cmd_verify(args):
-    h, char, group, colors = _job(args)
-    k = args.colors if args.colors is not None else colors
-    report = run_verification(h, char, group, k=k, max_ground=args.max_ground,
-                              include_oracle=not args.no_oracle)
-    report = {"schema": jobio.SCHEMA, "command": "verify", **report}
-    _write(report, args)
-    return 0 if report["ok"] else 1
-
-
-def cmd_oracle(args):
-    h, char, group, colors = _job(args)
-    k = args.colors if args.colors is not None else colors
-    if k is None:
-        k = len(h.ground)
-    cols = coloring_oracle(h, char, k, max_ground=args.max_ground)
-    fixed = fixed_coloring_counts(cols, group)
-    result = {"schema": jobio.SCHEMA, "command": "oracle", "kind": h.kind,
-              "character": str(char), "colors": k,
-              "total": len(cols),
-              "by_type": {str(t): c for t, c in colorings_by_type(cols).items()},
-              "fixed_by_class": [
-                  {"rep": rep.cycle_string(), "size": size, "count": jobio._count(v)}
-                  for rep, size, v in zip(group.class_reps, group.class_sizes,
-                                          fixed.values)]}
-    _write(result, args)
-    return 0
+    k = next(c for c in (flag, colors, len(h.ground)) if c is not None)
+    result = COMMANDS[args.command][2](args, h, char, group, k)
+    _write({"schema": jobio.SCHEMA, "command": args.command, "character": str(char),
+            **result}, args)
+    return 0 if result.get("ok", True) else 1
 
 
 def load_fixtures(name=None):
@@ -290,19 +254,6 @@ def cmd_fixtures(args):
     return 0 if not failed else 1
 
 
-COMMANDS = {
-    "psi": cmd_psi,
-    "orbital": cmd_orbital,
-    "poly": cmd_poly,
-    "orbital-poly": cmd_orbital_poly,
-    "complex": cmd_complex,
-    "certify": cmd_certify,
-    "verify": cmd_verify,
-    "oracle": cmd_oracle,
-    "fixtures": cmd_fixtures,
-}
-
-
 @functools.cache
 def _parser():
     """The argument parser, built on the first main call of a process."""
@@ -312,7 +263,9 @@ def _parser():
 def main(argv=None):
     args = _parser().parse_args(argv)
     try:
-        return COMMANDS[args.command](args)
+        if args.command == "fixtures":
+            return cmd_fixtures(args)
+        return run_command(args)
     except VerificationFailure as exc:
         jobio.dump({"schema": jobio.SCHEMA, "error": "verification",
                     "message": str(exc), "details": exc.details}, sys.stderr)

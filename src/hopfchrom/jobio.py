@@ -22,21 +22,31 @@ from .structures import (CharacterSpec, DoublePoset, Graph, Hypergraph,
 SCHEMA = "1"
 
 
-def _need(obj, field, kind, listed=False):
+def _need(obj, field, kind):
     """The required list field, checked by _items."""
     if field not in obj:
         raise DomainError("missing field %r for kind %r" % (field, kind))
-    return _items(obj[field], field, listed)
+    return _items(obj[field], field)
 
 
-def _items(raw, field, listed=False):
-    """raw, a list field, or DomainError naming the field; with listed,
-    each item must be a list too."""
+def _items(raw, field):
+    """raw, a list field, or DomainError naming the field."""
     if not isinstance(raw, (list, tuple)):
         raise DomainError("%s is not a list" % field)
-    for i, item in enumerate(raw if listed else ()):
-        _items(item, "%s[%d]" % (field, i))
     return raw
+
+
+def _label(x, field):
+    """A label as its string: a JSON string or number; a list, object,
+    boolean or null is refused by name."""
+    if isinstance(x, bool) or not isinstance(x, (str, int, float)):
+        raise DomainError("%s is not a label" % field)
+    return str(x)
+
+
+def _labels(raw, field):
+    """The labels of a list field, checked by _label."""
+    return [_label(x, "%s[%d]" % (field, i)) for i, x in enumerate(_items(raw, field))]
 
 
 def _label_sets(raw, field):
@@ -44,8 +54,8 @@ def _label_sets(raw, field):
     repeats a label is refused by index, never collapsed into a smaller
     set."""
     out = []
-    for i, item in enumerate(_items(raw, field, True)):
-        labels = [str(x) for x in item]
+    for i, item in enumerate(_items(raw, field)):
+        labels = _labels(item, "%s[%d]" % (field, i))
         if len(set(labels)) != len(labels):
             raise DomainError("%s[%d] repeats a label" % (field, i))
         out.append(labels)
@@ -57,7 +67,7 @@ def _pairs(raw, field):
     for i, p in enumerate(_items(raw, field)):
         if not isinstance(p, (list, tuple)) or len(p) != 2:
             raise DomainError("%s[%d] is not a pair" % (field, i))
-        out.append((str(p[0]), str(p[1])))
+        out.append(tuple(_labels(p, "%s[%d]" % (field, i))))
     return out
 
 
@@ -65,9 +75,10 @@ def parse_structure(kind, obj):
     if not isinstance(obj, dict):
         raise DomainError("structure is not a JSON object")
     if kind == "graph":
-        return Graph(tuple(str(v) for v in _need(obj, "vertices", kind)),
+        return Graph(tuple(_labels(_need(obj, "vertices", kind), "vertices")),
                      _pairs(obj.get("edges", []), "edges"))
-    ground = tuple(sorted(str(v) for v in _need(obj, "ground", kind)))
+    given = _labels(_need(obj, "ground", kind), "ground")
+    ground = tuple(sorted(given))
     if kind == "poset":
         return make_poset(ground, _pairs(obj.get("relations", []), "relations"))
     if kind == "matroid":
@@ -84,11 +95,10 @@ def parse_structure(kind, obj):
     if kind == "simplicial_complex":
         return SimplicialComplex(ground, _label_sets(obj.get("faces", []), "faces"))
     if kind == "gen_permutohedron":
-        given = [str(v) for v in _need(obj, "ground", kind)]
         order = {v: i for i, v in enumerate(given)}
         points = []
-        for i, row in enumerate(_need(obj, "points", kind, True)):
-            if len(row) != len(given):
+        for i, row in enumerate(_need(obj, "points", kind)):
+            if len(_items(row, "points[%d]" % i)) != len(given):
                 raise DomainError("points[%d] has %d coordinates, ground has %d"
                                   % (i, len(row), len(given)))
             try:
@@ -137,10 +147,18 @@ def check_colors(colors):
 
 
 def read_job(path, group_cap=GROUP_ORDER_CAP):
-    with open(path) as fh:
+    """The job in the UTF-8 file at path; a file that cannot be opened or
+    decoded, or holds no JSON document, is refused with its path."""
+    try:
+        fh = open(path, encoding="utf-8")
+    except OSError as exc:
+        raise DomainError("cannot read %s: %s" % (path, exc.strerror))
+    with fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
+            # JSONDecodeError, UnicodeDecodeError and an integer past the
+            # digit limit of int() are all ValueErrors
             raise DomainError("invalid JSON in %s: %s" % (path, exc))
     return load_job(data, group_cap=group_cap)
 

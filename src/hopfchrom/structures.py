@@ -305,10 +305,10 @@ class CharacterSpec:
     s: int = None
 
     def __post_init__(self):
-        if self.name not in CHARACTER_KINDS:
+        if not isinstance(self.name, str) or self.name not in CHARACTER_KINDS:
             raise DomainError("unknown character %r" % (self.name,))
         if self.name == "dim_bound":
-            if not isinstance(self.s, int) or self.s < 1:
+            if not isinstance(self.s, int) or isinstance(self.s, bool) or self.s < 1:
                 raise DomainError("dim_bound needs an integer bound s >= 1")
         elif self.s is not None:
             raise DomainError("character %r takes no parameter" % (self.name,))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -6,7 +7,7 @@ import zipfile
 
 import pytest
 
-from hopfchrom import chromatic, cli, structures
+from hopfchrom import chromatic, cli, complexes, structures, verify
 from hopfchrom.cli import load_fixtures, main, run_fixture
 from hopfchrom.complexes import coloring_complex, comparable_pairs
 from hopfchrom.errors import ResourceCapError
@@ -260,6 +261,22 @@ def test_exit_code_mapping_generator_off_the_ground_set(tmp_path, capsys, mappin
       "edges": [["b", "c"], ["c", "a", "c"]]}, "edges[1] repeats a label"),
     ({"kind": "simplicial_complex", "ground": ["a", "b"], "faces": [["a", "b", "b"]]},
      "faces[0] repeats a label"),
+    ({"kind": "graph", "vertices": [["a"]]}, "vertices[0] is not a label"),
+    ({"kind": "graph", "vertices": ["a", "b"], "edges": [["a", None]]},
+     "edges[0][1] is not a label"),
+    ({"kind": "poset", "ground": ["a", {"b": 1}]}, "ground[1] is not a label"),
+    ({"kind": "poset", "ground": ["a", "b"], "relations": [[True, "b"]]},
+     "relations[0][0] is not a label"),
+    ({"kind": "mixed_graph", "ground": ["a", "b"], "arcs": [["a", ["b"]]]},
+     "arcs[0][1] is not a label"),
+    ({"kind": "matroid", "ground": ["a", "b"], "bases": [["a", ["b"]]]},
+     "bases[0][1] is not a label"),
+    ({"kind": "hypergraph", "ground": ["a", "b"], "edges": [[None]]},
+     "edges[0][0] is not a label"),
+    ({"kind": "simplicial_complex", "ground": ["a", "b"], "faces": [["a", False]]},
+     "faces[0][1] is not a label"),
+    ({"kind": "gen_permutohedron", "ground": [False, "b"], "points": [[0, 1]]},
+     "ground[0] is not a label"),
 ])
 def test_exit_code_malformed_list_field(tmp_path, capsys, job, field):
     """A list field that is not a list, or a list item that is not one,
@@ -267,7 +284,8 @@ def test_exit_code_malformed_list_field(tmp_path, capsys, job, field):
     basis, a hypergraph edge or a simplicial face that repeats a label is
     refused too, never collapsed into a smaller set: [["a", "a"], ["b",
     "b"]] would run as a rank-1 matroid, and the edge ["a", "a"] as the
-    singleton edge {a}."""
+    singleton edge {a}.  A label that is a list, an object, a boolean or
+    null is refused by its field, never run under its str()."""
     job = _write_job(tmp_path, dict({"character": "zeta"}, **job))
     assert main(["psi", "--input", job, "--output", str(tmp_path / "o")]) == 2
     err = json.loads(capsys.readouterr().err)
@@ -282,6 +300,120 @@ def test_exit_code_boolean_colors(tmp_path, capsys, colors):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "domain"
     assert err["message"] == "field 'colors' must be a nonnegative integer"
+
+
+def _invalid_job_file(tmp_path, name, content):
+    path = tmp_path / name
+    path.write_bytes(content)
+    return str(path)
+
+
+@pytest.mark.parametrize("make,reason", [
+    (lambda tmp: str(tmp / "absent.json"), "No such file or directory"),
+    (lambda tmp: str(tmp), "Is a directory"),
+    (lambda tmp: _invalid_job_file(tmp, "latin1.json", json.dumps(
+        dict(FOUR_CYCLE_JOB, character="chromatic")).encode().replace(b'"a"', b'"\xe4"')),
+     "can't decode byte 0xe4"),
+    (lambda tmp: _invalid_job_file(tmp, "digits.json", json.dumps(
+        dict(FOUR_CYCLE_JOB, colors=0)).encode().replace(b'"colors": 0', b'"colors": '
+                                                         + b"9" * 5000)),
+     "4300 digits"),
+], ids=["missing", "directory", "not-utf8", "long-integer"])
+def test_exit_code_unreadable_job_file(tmp_path, capsys, make, reason):
+    """A job file that is missing, a directory, not UTF-8, or holds an
+    integer past Python's digit limit is refused with its path (exit 2)."""
+    path = make(tmp_path)
+    assert main(["psi", "--input", path]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    err = json.loads(err)
+    assert err["error"] == "domain"
+    assert path in err["message"] and reason in err["message"]
+
+
+def test_exit_code_output_in_a_missing_directory(tmp_path, capsys):
+    job = _write_job(tmp_path, FOUR_CYCLE_JOB)
+    out = str(tmp_path / "absent" / "out.json")
+    assert main(["psi", "--input", job, "--output", out]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "domain"
+    assert err["message"] == "cannot write %s: No such file or directory" % out
+
+
+@pytest.mark.parametrize("character,message", [
+    ({"name": ["x"]}, "unknown character ['x']"),
+    ({"name": {"a": 1}}, "unknown character {'a': 1}"),
+    ({"name": "dim_bound", "s": True}, "dim_bound needs an integer bound s >= 1"),
+])
+def test_exit_code_malformed_character(tmp_path, capsys, character, message):
+    """A character name that is not a string, or a boolean bound, is
+    refused (exit 2): never a TypeError, never dim_bound(1)."""
+    job = {"kind": "simplicial_complex", "ground": ["a", "b"], "faces": [["a", "b"]],
+           "character": character}
+    assert main(["psi", "--input", _write_job(tmp_path, job)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"schema": "1", "error": "domain", "message": message}
+
+
+def test_number_labels_accepted(tmp_path, capsys):
+    job = {"kind": "graph", "character": "chromatic",
+           "structure": {"vertices": [1, 2.5], "edges": [[1, 2.5]]}, "group": ["(1 2.5)"]}
+    assert main(["psi", "--input", _write_job(tmp_path, job)]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["coefficients"] == {"1,1": [2, 0]}
+
+
+@pytest.mark.parametrize("command", ["certify", "verify"])
+def test_exit_code_invalid_certificate(tmp_path, monkeypatch, command):
+    """An invalid certificate sets the top-level ok to false: exit 1, and
+    the result is still written."""
+    real = complexes.theta_certificate
+
+    def invalid(*args):
+        return dataclasses.replace(real(*args), equivariance_checked=False)
+
+    monkeypatch.setattr(cli, "theta_certificate", invalid)
+    monkeypatch.setattr(verify, "theta_certificate", invalid)
+    out = tmp_path / "o.json"
+    job = _write_job(tmp_path, FOUR_CYCLE_JOB)
+    assert main([command, "--input", job, "--output", str(out)]) == 1
+    data = json.loads(out.read_text())
+    assert data["ok"] is False
+    if command == "certify":
+        assert data["pairs"] and not any(p["valid"] for p in data["pairs"])
+    else:
+        section = data["checks"]["theta_certificates"]
+        assert not section["ok"] and len(section["invalid"]) == section["pairs_checked"]
+
+
+def test_exit_code_convexity_witness(tmp_path, capsys, monkeypatch):
+    """A convexity witness ends complex with a verification error (exit 1)
+    and no result."""
+    witness = {"condition": "planted", "detail": "a planted witness"}
+    monkeypatch.setattr(complexes, "check_balanced_convex", lambda h, char: witness)
+    out = tmp_path / "o.json"
+    job = _write_job(tmp_path, FOUR_CYCLE_JOB)
+    assert main(["complex", "--input", job, "--output", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "verification" and err["details"] == witness
+    assert "a planted witness" in err["message"]
+    assert not out.exists()
+
+
+def test_count_commands_call_psi_through_the_module(tmp_path, monkeypatch):
+    """Each count command makes one psi call, looked up as cli.psi when it
+    runs, so a tracer that rebinds the module attribute sees it."""
+    real, calls = chromatic.psi, []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "psi", counting)
+    job = _write_job(tmp_path, FOUR_CYCLE_JOB)
+    for command in ("psi", "orbital", "poly", "orbital-poly"):
+        assert main([command, "--input", job, "--output", str(tmp_path / "o")]) == 0
+    assert len(calls) == 4
 
 
 def test_workers_above_one_warns(tmp_path):
