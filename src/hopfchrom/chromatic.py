@@ -84,7 +84,11 @@ def _next_blocks(h, char):
     S inside R allowed as the next block.  table[0] is empty and unused.
     For splitting kinds S is allowed when the split of the minor at R
     along S is nonzero (S = R needs none) and the character is 1 on its
-    piece S, as the job's structures.splitting_memo answers."""
+    piece S, as the job's structures.splitting_memo answers: following
+    the table peels a composition block by block through nonzero splits,
+    which is what makes it proper.  Hypergraphs allow S by the edge rule
+    of _edges_ok; point collections allow every S and _points_filter
+    tests whole compositions."""
     ground = h.ground
     full = (1 << len(ground)) - 1
     table = [[]]
@@ -126,9 +130,10 @@ def _walk(table, R, blocks, prefix=()):
 
 
 def _points_filter(h, found):
-    """Yield the compositions whose block-index weighting has a unique
-    maximizing point, the test of structures._points_proper, scored on
-    the integer points of PointCollection.integer_points.  A label in the
+    """Yield the compositions whose block-index weighting (a label in
+    the j-th block weighs j) has a unique maximizing point, the rule of
+    the vertex_generic character, scored on the integer points of
+    PointCollection.integer_points.  A label in the
     j-th block (counting from 1) lies in exactly j of the suffix unions
     B_i | ... | B_k, so a point scores the sum of its coordinate sums over
     those unions."""

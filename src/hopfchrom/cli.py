@@ -7,8 +7,8 @@ sorted and worker count never changes bytes.
 
 Every job command is one row of COMMANDS: its help text, its default
 ground cap, its result function and its extra options; build_parser
-reads the table.  run_command does what the rows share: the --workers
-and colors checks, reading the job (which must name a character), the
+reads the table.  run_command does what the rows share: the --workers,
+cap and colors checks, reading the job (which must name a character), the
 color count (--colors, else the job's colors, else the ground size),
 the schema, command and character of the result, writing it, and the
 exit code, 1 exactly when the result's top-level "ok" is false (certify
@@ -23,7 +23,6 @@ import json
 import os
 import sys
 import tempfile
-from warnings import warn
 
 from . import jobio
 from .chromatic import (GROUND_CAP, ORACLE_GROUND_CAP, binomial_to_monomial,
@@ -159,9 +158,13 @@ def run_command(args):
     the exit code is 1 exactly when the result's top-level "ok" is false."""
     if args.workers < 1:
         raise DomainError("workers must be at least 1, got %d" % args.workers)
+    for option, cap in (("--max-ground", args.max_ground),
+                        ("--max-group-order", args.max_group_order)):
+        if cap < 1:
+            raise DomainError("%s must be at least 1, got %d" % (option, cap))
     if args.workers > 1:
-        warn("--workers is deprecated and ignored: every command runs "
-             "serially", FutureWarning, stacklevel=2)
+        print("FutureWarning: --workers is deprecated and ignored: every command "
+              "runs serially", file=sys.stderr)
     flag = jobio.check_colors(getattr(args, "colors", None))
     h, char, group, colors = jobio.read_job(args.input, group_cap=args.max_group_order)
     if char is None:

@@ -211,8 +211,9 @@ def check_balanced_convex(h, char):
     S), T - S), with A = ground - R.  For matroids this is the identity
     tests/test_kernel.py checks on every corpus matroid and U(3,7); the
     other five kinds contract by restriction, so both sides are
-    restrict(h, T - S).  Its splits are nonzero(T, .): for those five
-    kinds the minor is restrict(h, T), the memo's minor at T, and a
+    restrict(h, T - S).  Its splits are nonzero(T, .), since the
+    memo's mask rule reads only the labels of T: the relation pairs
+    inside T are the same in the minor (R, T) and the minor at T, and a
     matroid split is never zero.  Its character values are one(R, .).
 
     Splits are tried by size and then by label tuple, and a minor is

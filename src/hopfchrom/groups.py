@@ -307,7 +307,10 @@ class ClassFunction:
         return self.values[self.group.class_of(g)]
 
     def at_identity(self):
-        return self(Permutation.identity(self.group.ground))
+        """The value at the identity: the group lists the identity first and
+        numbers its classes in order of first appearance, so class 0 is
+        {identity}."""
+        return self.values[0]
 
     def __add__(self, other):
         self._check(other)

@@ -18,23 +18,17 @@ from fractions import Fraction
 from itertools import combinations
 
 from .groups import PermGroup, Permutation
-from .structures import (CharacterSpec, DoublePoset, Graph, Hypergraph,
-                         Matroid, MixedGraph, PointCollection,
-                         SimplicialComplex, automorphisms, make_poset)
+from .structures import (CHARACTER_KINDS, KIND_CLASSES, CharacterSpec,
+                         DoublePoset, Graph, Hypergraph, Matroid, MixedGraph,
+                         PointCollection, SimplicialComplex, automorphisms,
+                         make_poset)
 
 LETTERS = "abcdefghi"
 SIZES = (1, 2, 2, 3, 3, 3, 4, 4, 5)
 
-KIND_CHARACTERS = {
-    "graph": ("zeta", "chromatic"),
-    "poset": ("zeta", "chromatic"),
-    "matroid": ("zeta", "chromatic"),
-    "mixed_graph": ("zeta", "strong_mixed", "weak_mixed"),
-    "double_poset": ("zeta", "inversion_free"),
-    "hypergraph": ("unique_local_max",),
-    "simplicial_complex": ("zeta", "dim_bound"),
-    "gen_permutohedron": ("vertex_generic",),
-}
+# the characters that apply to each kind, in the order of CHARACTER_KINDS
+KIND_CHARACTERS = {kind: tuple(name for name, kinds in CHARACTER_KINDS.items() if kind in kinds)
+                   for kind in KIND_CLASSES}
 
 
 def _ground(n):

@@ -16,8 +16,9 @@ contraction.  Hypergraphs and point collections (DIRECT_ONLY_KINDS,
 generalized permutohedra for the latter) do not restrict or contract
 here; their properness predicate is stated directly on whole set
 compositions.  splitting_memo owns the calculus over label masks: each
-minor built once, each character value and split decided once, for the
-kernel's next-block table and the convexity check alike.
+minor built once, each character value decided once and each split read
+off one predecessor mask per label set, for the kernel's next-block
+table and the convexity check alike.
 
 A character assigns 0 or 1 to a structure, multiplicatively over blocks.
 Supported names and the kinds they apply to:
@@ -31,12 +32,13 @@ Supported names and the kinds they apply to:
     dim_bound(s)     simplicial_complex
     vertex_generic   gen_permutohedron
 
-proper_composition decides whether a set composition is proper (peeling
-blocks left to right through nonzero splits, the character equal to 1 on
-every restricted block), and coloring_test builds the equivalent direct
-test on color tuples aligned with the sorted ground set: a coloring is
-proper exactly when its level-set composition (the color classes in
-increasing color order) is.
+A set composition is proper when its blocks peel off left to right
+through nonzero splits, the character equal to 1 on every restricted
+block; the kernel (chromatic._next_blocks) decides that over label
+masks.  coloring_test builds the equivalent direct test on color tuples
+aligned with the sorted ground set: a coloring is proper exactly when
+its level-set composition (the color classes in increasing color order)
+is.
 """
 
 from dataclasses import dataclass
@@ -418,17 +420,6 @@ def contract(h, S):
     raise DomainError("kind %s has no contraction; its properness test is direct" % h.kind)
 
 
-def split_is_zero(h, S):
-    """Whether the split of h along (S, complement) vanishes: some pair of
-    the kind's ORDER relation runs from the complement into S."""
-    S = frozenset(S)
-    _check_subset(h, S)
-    if h.kind not in ITEMS:
-        raise DomainError("kind %s has no splitting; its properness test is direct" % h.kind)
-    field = ORDER.get(h.kind)
-    return field is not None and any(a not in S and b in S for a, b in getattr(h, field))
-
-
 def _check_subset(h, S):
     if not S:
         raise DomainError("subset must be nonempty")
@@ -476,7 +467,8 @@ def char_value(h, char):
 class SplittingMemo:
     """The splitting calculus of one splitting-kind structure h and a
     character, over label masks (label i of the sorted ground set is bit
-    i), each answer computed once.  For masks S inside R:
+    i), each minor and character value computed once.  For masks S
+    inside R:
 
     - one(R, S): is the character 1 on restrict(contract(h, ground - R),
       S)?  When S = R this is the minor contract(h, ground - R) itself.
@@ -489,7 +481,17 @@ class SplittingMemo:
     restricting it to S gives minors[S]: for them one(R, S) depends on S
     alone and is keyed by S, 2^n values.  Matroids key it by (R, S).
     key(R, T) names the structure restrict(contract(h, ground - R), T):
-    equal keys mean equal structures."""
+    equal keys mean equal structures.
+
+    into[S] is the mask of the labels a with an ORDER pair (a, b), b in
+    S, built once, one lowest bit of S at a time.  The split of the minor
+    at R along S is zero exactly when an ORDER pair of that minor runs
+    from R - S into S.  The kinds with an ORDER entry contract by
+    restriction, so their minor at R keeps exactly the pairs of h with
+    both labels in R, and such a pair (a, b), b in S and a in R - S, is a
+    bit a of into[S] & (R - S).  So nonzero(R, S) is not into[S] &
+    (R - S).  The kinds without an ORDER entry (graphs, matroids,
+    simplicial complexes) never split to zero; their into is all 0."""
 
     def __init__(self, h, char):
         self.char, self.labels = char, mask_labels(h.ground)
@@ -497,7 +499,15 @@ class SplittingMemo:
         self.minors = ([None] + [contract(h, self.labels[full ^ R]) for R in range(1, full)]
                        + [h])
         self._by_restriction = h.kind != "matroid"
-        self._one, self._nonzero = {}, {}
+        self._one = {}
+        at = {x: i for i, x in enumerate(h.ground)}
+        before = [0] * len(at)  # before[i]: into of label i alone
+        for a, b in getattr(h, ORDER[h.kind]) if h.kind in ORDER else ():
+            before[at[b]] |= 1 << at[a]
+        self.into = into = [0]
+        for S in range(1, full + 1):
+            low = S & -S
+            into.append(into[S ^ low] | before[low.bit_length() - 1])
 
     def key(self, R, T):
         return T if self._by_restriction else (R, T)
@@ -511,9 +521,7 @@ class SplittingMemo:
         return self._one[key]
 
     def nonzero(self, R, S):
-        if (R, S) not in self._nonzero:
-            self._nonzero[R, S] = not split_is_zero(self.minors[R], self.labels[S])
-        return self._nonzero[R, S]
+        return not self.into[S] & (R ^ S)
 
 
 @lru_cache(maxsize=1)
@@ -522,71 +530,6 @@ def splitting_memo(h, char):
     one is kept, so the kernel's table and the convexity check of one
     job share it and the next job replaces it."""
     return SplittingMemo(h, char)
-
-
-# ---------------------------------------------------------------------------
-# properness of set compositions
-
-
-def proper_composition(h, char, comp):
-    """1 if the set composition is proper for (h, char), else 0.
-
-    For splitting kinds this peels blocks left to right: every split must
-    be nonzero and the character must equal 1 on every restricted block.
-    Hypergraphs and point collections get their direct tests.
-    """
-    char = check_compatible(h, char)
-    if comp.ground != h.ground:
-        raise DomainError("set composition is not a composition of the ground set")
-    if h.kind == "hypergraph":
-        return _hypergraph_proper(h, comp)
-    if h.kind == "gen_permutohedron":
-        return _points_proper(h, comp)
-    cur = h
-    for i, block in enumerate(comp.blocks):
-        S = frozenset(block)
-        last = i == len(comp.blocks) - 1
-        if not last and split_is_zero(cur, S):
-            return 0
-        if char_value(restrict(cur, S), char) == 0:
-            return 0
-        if not last:
-            cur = contract(cur, S)
-    return 1
-
-
-def _hypergraph_proper(h, comp):
-    """Every edge must meet its last block in exactly one element."""
-    position = {}
-    for i, block in enumerate(comp.blocks):
-        for x in block:
-            position[x] = i
-    for e in h.edges:
-        top = max(position[x] for x in e)
-        if sum(1 for x in e if position[x] == top) != 1:
-            return 0
-    return 1
-
-
-def _points_proper(h, comp):
-    """The block-index weighting must pick out a unique maximizing point."""
-    weight = {}
-    for i, block in enumerate(comp.blocks):
-        for x in block:
-            weight[x] = i + 1
-    w = tuple(weight[x] for x in h.ground)
-    return 1 if _unique_argmax(h.points, w) else 0
-
-
-def _unique_argmax(points, w):
-    best, count = None, 0
-    for p in points:
-        v = sum(c * wi for c, wi in zip(p, w))
-        if best is None or v > best:
-            best, count = v, 1
-        elif v == best:
-            count += 1
-    return count == 1
 
 
 # ---------------------------------------------------------------------------
@@ -599,9 +542,8 @@ def coloring_test(h, char):
 
     The character is checked and the kind dispatched once, here; the
     per-kind statements read edges, relations, bases, hyperedges and big
-    faces as tuples of positions.  Stated independently of
-    proper_composition, so the two routes can be checked against each
-    other."""
+    faces as tuples of positions.  Stated independently of the kernel's
+    mask table, so the two routes can be checked against each other."""
     char = check_compatible(h, char)
     name = char.name
     at = {x: i for i, x in enumerate(h.ground)}
@@ -662,6 +604,17 @@ def _unique_min_basis(bases, c):
     for b in bases:
         v = sum(c[x] for x in b)
         if best is None or v < best:
+            best, count = v, 1
+        elif v == best:
+            count += 1
+    return count == 1
+
+
+def _unique_argmax(points, w):
+    best, count = None, 0
+    for p in points:
+        v = sum(c * wi for c, wi in zip(p, w))
+        if best is None or v > best:
             best, count = v, 1
         elif v == best:
             count += 1

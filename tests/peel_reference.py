@@ -1,0 +1,78 @@
+"""The label-level peel of set compositions, kept as the reference the
+mask routes are tested against.
+
+split_is_zero decides one split of a structure over label sets, and
+proper_composition peels a composition left to right through nonzero
+splits, the character equal to 1 on every restricted block; hypergraphs
+and point collections get their direct tests.  The program decides the
+same questions over label masks: structures.SplittingMemo.nonzero for
+the splits, chromatic._next_blocks and _points_filter for the
+compositions, structures.coloring_test for colorings.  restrict,
+contract and char_value are read through the structures module, so a
+fault injected there reaches this route as well."""
+
+from hopfchrom import structures
+from hopfchrom.errors import DomainError
+from hopfchrom.structures import (ITEMS, ORDER, _check_subset,
+                                  _unique_argmax, check_compatible)
+
+
+def split_is_zero(h, S):
+    """Whether the split of h along (S, complement) vanishes: some pair of
+    the kind's ORDER relation runs from the complement into S."""
+    S = frozenset(S)
+    _check_subset(h, S)
+    if h.kind not in ITEMS:
+        raise DomainError("kind %s has no splitting; its properness test is direct" % h.kind)
+    field = ORDER.get(h.kind)
+    return field is not None and any(a not in S and b in S for a, b in getattr(h, field))
+
+
+def proper_composition(h, char, comp):
+    """1 if the set composition is proper for (h, char), else 0.
+
+    For splitting kinds this peels blocks left to right: every split must
+    be nonzero and the character must equal 1 on every restricted block.
+    Hypergraphs and point collections get their direct tests.
+    """
+    char = check_compatible(h, char)
+    if comp.ground != h.ground:
+        raise DomainError("set composition is not a composition of the ground set")
+    if h.kind == "hypergraph":
+        return _hypergraph_proper(h, comp)
+    if h.kind == "gen_permutohedron":
+        return _points_proper(h, comp)
+    cur = h
+    for i, block in enumerate(comp.blocks):
+        S = frozenset(block)
+        last = i == len(comp.blocks) - 1
+        if not last and split_is_zero(cur, S):
+            return 0
+        if structures.char_value(structures.restrict(cur, S), char) == 0:
+            return 0
+        if not last:
+            cur = structures.contract(cur, S)
+    return 1
+
+
+def _hypergraph_proper(h, comp):
+    """Every edge must meet its last block in exactly one element."""
+    position = {}
+    for i, block in enumerate(comp.blocks):
+        for x in block:
+            position[x] = i
+    for e in h.edges:
+        top = max(position[x] for x in e)
+        if sum(1 for x in e if position[x] == top) != 1:
+            return 0
+    return 1
+
+
+def _points_proper(h, comp):
+    """The block-index weighting must pick out a unique maximizing point."""
+    weight = {}
+    for i, block in enumerate(comp.blocks):
+        for x in block:
+            weight[x] = i + 1
+    w = tuple(weight[x] for x in h.ground)
+    return 1 if _unique_argmax(h.points, w) else 0

@@ -421,6 +421,23 @@ def test_workers_above_one_warns(tmp_path):
     proc = _run(["psi", "--input", job, "--workers", "2"])
     assert proc.returncode == 0
     assert "FutureWarning" in proc.stderr and "deprecated" in proc.stderr
+    assert proc.stderr == ("FutureWarning: --workers is deprecated and ignored: "
+                           "every command runs serially\n")
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+@pytest.mark.parametrize("option,value", [
+    ("--max-ground", "0"), ("--max-ground", "-1"), ("--max-group-order", "-5")])
+def test_exit_code_cap_below_one(tmp_path, capsys, command, option, value):
+    """A cap below 1 is malformed input, refused by name before the job is
+    read, never taken as a cap that every job exceeds."""
+    job = _write_job(tmp_path, FOUR_CYCLE_JOB)
+    out = tmp_path / "o"
+    assert main([command, "--input", job, "--output", str(out), option, value]) == 2
+    assert not out.exists()
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "domain"
+    assert err["message"] == "%s must be at least 1, got %s" % (option, value)
 
 
 def test_oracle_color_cap(tmp_path, capsys):

@@ -156,6 +156,16 @@ def test_class_function_from_element_values():
     assert cf2.values == (0, 1, 0, 0)
 
 
+def test_class_zero_is_the_identity():
+    """ClassFunction.at_identity reads values[0]: on every corpus group,
+    and on D7 and D8, class 0 is the identity alone."""
+    groups = [group for _, _, _, group in corpus()] + [dihedral(7), dihedral(8)]
+    for group in groups:
+        assert group.class_reps[0].is_identity() and group.class_sizes[0] == 1
+        cf = ClassFunction(group, tuple(range(len(group.class_reps))))
+        assert cf.at_identity() == cf(Permutation.identity(group.ground)) == 0
+
+
 def test_inner_product_and_burnside():
     r = Permutation.from_cycles("(a b d c)", ABCD)
     g4 = PermGroup((r,))

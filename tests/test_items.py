@@ -1,6 +1,7 @@
 """Differential tests of the item table in structures (ITEMS, ORDER),
-which states restriction, contraction, zero splits and relabeling once
-for the six splitting kinds, against the per-kind code it replaced
+which states restriction, contraction, zero splits (through the
+label-set peel_reference.split_is_zero) and relabeling once for the six
+splitting kinds, against the per-kind code it replaced
 (reference_restrict, reference_contract, reference_split_is_zero,
 reference_automorphism_check).  The references compare on every corpus
 structure, on every subset and every permutation of its ground set, and
@@ -21,8 +22,8 @@ from hopfchrom.structures import (DIRECT_ONLY_KINDS, ITEMS, KIND_CLASSES,
                                   ORDER, DoublePoset, Graph, Matroid,
                                   MixedGraph, Poset, SimplicialComplex,
                                   automorphism_check, contract,
-                                  loday_associahedron, make_poset, restrict,
-                                  split_is_zero)
+                                  loday_associahedron, make_poset, restrict)
+from peel_reference import split_is_zero
 from test_kernel import cycle_graph
 
 
@@ -220,5 +221,3 @@ def test_direct_kinds_refuse_the_splitting_calculus(kind):
     if len(h.ground) > 1:
         with pytest.raises(DomainError, match="kind %s has no contraction" % kind):
             contract(h, S)
-    with pytest.raises(DomainError, match="kind %s has no splitting" % kind):
-        split_is_zero(h, S)

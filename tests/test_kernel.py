@@ -20,9 +20,9 @@ from hopfchrom.errors import ResourceCapError
 from hopfchrom.groups import ClassFunction
 from hopfchrom.randgen import GENERATORS, corpus
 from hopfchrom.structures import (CharacterSpec, Graph, Matroid,
-                                  PointCollection, _points_proper,
-                                  _unique_argmax, contract,
-                                  proper_composition, restrict)
+                                  PointCollection, _unique_argmax, contract,
+                                  restrict)
+from peel_reference import _points_proper, proper_composition
 from test_groups import dihedral
 
 CORPUS = corpus()

@@ -12,7 +12,8 @@ from hopfchrom.compositions import (alpha_of_subset, act, compositions_of,
 from hopfchrom.complexes import integer_matrix_rank
 from hopfchrom.cyclotomic import Cyclo
 from hopfchrom.groups import PermGroup, Permutation
-from hopfchrom.structures import (CharacterSpec, Graph, proper_composition)
+from hopfchrom.structures import CharacterSpec, Graph
+from peel_reference import proper_composition
 from test_complex_checks import dense_integer_rank
 from test_kernel import set_compositions
 

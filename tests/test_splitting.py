@@ -2,9 +2,10 @@
 splitting calculus, against the code it replaced: the per-minor table of
 next blocks (reference_next_blocks) and the convexity walk over label
 frozensets that built a restriction and a contraction for every split
-(reference_convex).  The references call restrict, contract,
-split_is_zero and char_value through the structures module, so a fault
-injected there reaches both routes."""
+(reference_convex).  The references call restrict, contract and
+char_value through the structures module, so a fault injected there
+reaches both routes, and decide splits with the label-set
+peel_reference.split_is_zero."""
 
 import io
 from itertools import combinations
@@ -19,7 +20,9 @@ from hopfchrom.randgen import corpus
 from hopfchrom.structures import (DIRECT_ONLY_KINDS, CharacterSpec,
                                   Matroid, make_double_poset, make_poset)
 from hopfchrom.verify import run_verification
+from peel_reference import split_is_zero
 from test_groups import dihedral
+from test_items import POSET7
 from test_kernel import cycle_graph
 
 SPLITTING = [(name, h, char) for name, h, char, _ in corpus()
@@ -51,7 +54,7 @@ def reference_splits(minor, char, S, whole):
     minor."""
     if whole:
         return structures.char_value(minor, char) == 1
-    return (not structures.split_is_zero(minor, S)
+    return (not split_is_zero(minor, S)
             and structures.char_value(structures.restrict(minor, S), char) == 1)
 
 
@@ -90,7 +93,7 @@ def reference_convex(h, char):
         for k in range(1, n):
             for c in combinations(ground, k):
                 S = frozenset(c)
-                if not structures.split_is_zero(cur, S):
+                if not split_is_zero(cur, S):
                     splits.append(S)
         if not splits:
             return {"condition": 2, "ground": list(ground), "trail": trail,
@@ -137,6 +140,27 @@ def test_memo_matches_references_on_corpus():
         structures.splitting_memo.cache_clear()
         assert chromatic._next_blocks(h, char) == reference_next_blocks(h, char), name
         assert check_balanced_convex(h, char) == reference_convex(h, char), name
+
+
+def test_mask_splits_match_the_label_set_reference():
+    """nonzero(R, S) reads into[S] & (R - S); the reference restricts h to
+    the labels of R and scans its relation over label sets.  Every R and
+    every nonempty proper S inside it, on the corpus and the larger
+    posets, mixed graph, double poset, C7 and U(3,7)."""
+    cases = SPLITTING + [c for c in LARGER if c[0] != "C8"] + [
+        ("POSET7", POSET7, CharacterSpec("zeta"))]
+    zero = 0
+    for name, h, char in cases:
+        memo = structures.SplittingMemo(h, char)
+        labels = memo.labels
+        for R in range(1, memo.full + 1):
+            minor = structures.restrict(h, labels[R])
+            for S in submasks(R):
+                if S != R:
+                    want = not split_is_zero(minor, labels[S])
+                    assert memo.nonzero(R, S) == want, (name, labels[R], labels[S])
+                    zero += not want
+    assert zero
 
 
 def _faults(h, sizes):

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from hopfchrom import randgen
 from hopfchrom.compositions import SetComposition
 from hopfchrom.errors import DomainError
 from hopfchrom.groups import Permutation
@@ -11,9 +12,8 @@ from hopfchrom.structures import (CharacterSpec, DoublePoset, Graph,
                                   automorphism_check, automorphisms,
                                   char_value, check_compatible, contract,
                                   loday_associahedron, make_double_poset,
-                                  make_poset, proper_coloring,
-                                  proper_composition, restrict,
-                                  split_is_zero)
+                                  make_poset, proper_coloring, restrict)
+from peel_reference import proper_composition, split_is_zero
 
 ABCD = ("a", "b", "c", "d")
 
@@ -190,3 +190,18 @@ def test_loday_associahedron():
     assert len(totals) == 1
     with pytest.raises(DomainError):
         loday_associahedron(0)
+
+
+def test_randgen_characters_follow_the_character_table():
+    """randgen.KIND_CHARACTERS is read off CHARACTER_KINDS; it equals the
+    table it replaced, so every seeded corpus draws the same characters."""
+    assert randgen.KIND_CHARACTERS == {
+        "graph": ("zeta", "chromatic"),
+        "poset": ("zeta", "chromatic"),
+        "matroid": ("zeta", "chromatic"),
+        "mixed_graph": ("zeta", "strong_mixed", "weak_mixed"),
+        "double_poset": ("zeta", "inversion_free"),
+        "hypergraph": ("unique_local_max",),
+        "simplicial_complex": ("zeta", "dim_bound"),
+        "gen_permutohedron": ("vertex_generic",),
+    }
