@@ -32,9 +32,9 @@ from .groups import (ClassFunction, PermGroup, Permutation,
                      is_effective, leq_char)
 from .structures import (CharacterSpec, DoublePoset, Graph, Hypergraph,
                          Matroid, MixedGraph, PointCollection, Poset,
-                         SimplicialComplex, automorphisms, char_value,
-                         contract, loday_associahedron, make_double_poset,
-                         make_poset, proper_coloring, restrict)
+                         SimplicialComplex, automorphisms,
+                         loday_associahedron, make_double_poset, make_poset,
+                         proper_coloring)
 from .verify import run_verification
 
 __version__ = "0.1.0"
@@ -47,16 +47,16 @@ __all__ = [
     "Poset", "ResourceCapError", "SetComposition", "SimplicialComplex",
     "UnsupportedGroupError", "VerificationFailure", "abelian_irreducibles",
     "alpha_of_subset", "automorphisms", "binomial_to_monomial",
-    "burnside_count", "char_value", "check_balanced_convex",
+    "burnside_count", "check_balanced_convex",
     "coloring_complex", "coloring_oracle", "colorings_by_type",
     "comparable_pairs", "compositions_of",
-    "conjugacy_classes", "contract", "enumerate_set_compositions",
+    "conjugacy_classes", "enumerate_set_compositions",
     "fixed_coloring_counts", "flag_f_vector", "flag_of",
     "hilb", "inner_product", "integer_matrix_rank",
     "irreducible_multiplicities", "is_effective", "leq_char",
     "loday_associahedron", "make_double_poset", "make_poset",
     "orbital_polynomial", "orbital_psi", "proper_coloring",
-    "proper_compositions", "psi", "psi_polynomial", "refines", "restrict",
+    "proper_compositions", "psi", "psi_polynomial", "refines",
     "run_verification", "subset_of_alpha", "theta_certificate", "type_of",
     "type_of_flag", "verify_flawless",
 ]

@@ -14,13 +14,14 @@ allowed as the next block; one recursion over that table lists the
 compositions.  Each (R, S) pair is decided once, so the table holds at
 most 3^n pairs however many prefixes reach R:
 
-- splitting kinds: the minor left at R is contract(h, ground - R), which
-  for matroids rests on M/S1/S2 = M/(S1 | S2); S is allowed when the split
-  of that minor along S is nonzero and the character is 1 on its
-  restriction to S (on the minor itself when S = R).  Both answers come
-  from structures.splitting_memo, the one owner of the splitting
-  calculus, which builds each minor once and which the coloring
-  complex's convexity check reads too;
+- splitting kinds: the minor left at R is h with the placed labels
+  C = ground - R contracted, which for matroids rests on M/S1/S2 =
+  M/(S1 | S2): both have rank X -> r(X | S1 | S2) - r(S1 | S2).  S is
+  allowed when the split of that minor along S is nonzero and the
+  character is 1 on its restriction to S (on the minor itself when
+  S = R).  Both answers are mask arithmetic in structures.splitting_memo,
+  the one owner of the splitting calculus, which builds no minor and
+  which the coloring complex's convexity check reads too;
 - hypergraphs: S is allowed when every edge that meets S and lies inside
   the placed labels together with S meets S in exactly one element;
 - point collections: every S is allowed and whole compositions are

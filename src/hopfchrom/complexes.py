@@ -14,13 +14,14 @@ coloring_complex builds the face set of all flags of proper compositions
 of a structure; for kinds with a splitting calculus the three convexity
 conditions of the character are verified first, recursively over every
 minor reachable through nonzero splits, and a violation is reported with
-the witnessing subset chain.  The minors are label-mask pairs and their
-character values and splits come from structures.splitting_memo, the
-same memo the enumeration kernel's next-block table reads, so one job
-evaluates the splitting calculus once.  Sandwich closure is checked
-locally, on tau - x for every face tau and member x, and purity by a
-search down from the top faces; BalancedRelativeComplex._validate proves
-both equivalent to the scans over all faces.
+the witnessing subset chain.  The minors are label-mask pairs, never
+built as structures, and their character values and splits come from
+structures.splitting_memo, the same memo the enumeration kernel's
+next-block table reads, so one job evaluates the splitting calculus
+once.  Sandwich closure is checked locally, on tau - x for every face
+tau and member x, and purity by a search down from the top faces;
+BalancedRelativeComplex._validate proves both equivalent to the scans
+over all faces.
 
 hilb packages fixed-face counts per size set into the same kind of
 quasisymmetric class function that psi produces, through the counter
@@ -204,17 +205,18 @@ def check_balanced_convex(h, char):
 
     The minors are named by label masks and read from
     structures.splitting_memo; no structure is built here.  A pair (R, T),
-    T inside R, is the minor restrict(contract(h, ground - R), T), and
-    (full, full) is h.  Restricting it to S gives (R, S).  Contracting it
-    by S gives (R - S, T - S), because minors commute:
-    contract(restrict(contract(M, A), T), S) == restrict(contract(M, A |
-    S), T - S), with A = ground - R.  For matroids this is the identity
-    tests/test_kernel.py checks on every corpus matroid and U(3,7); the
-    other five kinds contract by restriction, so both sides are
-    restrict(h, T - S).  Its splits are nonzero(T, .), since the
-    memo's mask rule reads only the labels of T: the relation pairs
-    inside T are the same in the minor (R, T) and the minor at T, and a
-    matroid split is never zero.  Its character values are one(R, .).
+    T inside R, is the minor at R (h with C = ground - R contracted)
+    restricted to T, and (full, full) is h.  Restricting it to S gives
+    (R, S).  Contracting it by S gives the minor with C | S contracted,
+    restricted to T - S, which is (R - S, T - S).  For matroids the rank
+    tables say so: (R, T) has rank X -> r(X | C) - r(C) on the X inside
+    T, and contracting S leaves X -> (r(X | S | C) - r(C)) - (r(S | C) -
+    r(C)) = r(X | C | S) - r(C | S) on the X inside T - S.  The other
+    five kinds contract by restriction, so both sides keep the items of h
+    inside T - S.  Its splits are nonzero(T, .), since the memo's mask rule reads
+    only the labels of T: the relation pairs inside T are the same in the
+    minor (R, T) and the minor at T, and a matroid split is never zero.
+    Its character values are one(R, .).
 
     Splits are tried by size and then by label tuple, and a minor is
     walked once per memo key, where the frozenset walk this replaces

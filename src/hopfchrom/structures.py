@@ -3,22 +3,23 @@
 Each kind carries a ground set of string labels.  For the six splitting
 kinds one table, ITEMS, names the fields that hold label items (edges,
 relation pairs, bases, arcs, faces: each item a set or an ordered pair
-of labels), in constructor order after the ground set.  Restriction,
-contraction and relabeling are stated once over it: restrict keeps the
-items inside S, contract restricts to the complement, and a permutation
-is an automorphism when it maps every item field onto itself.  ORDER
-names the relation of posets, double posets and mixed graphs whose pairs
-running from the complement into S make the split along (S, complement)
-vanish; the other splitting kinds never split to zero.  A matroid minor
-is one filter over the bases instead: those meeting S in the most
-elements, cut to S for the restriction and to the complement for the
-contraction.  Hypergraphs and point collections (DIRECT_ONLY_KINDS,
-generalized permutohedra for the latter) do not restrict or contract
+of labels), in constructor order after the ground set; a permutation is
+an automorphism when it maps every item field onto itself.  The
+splitting calculus is stated over label masks and builds no minor.
+Restricting to S keeps the items inside S and contracting restricts to
+the complement, so a character is 1 on a restriction exactly when none
+of its FORBIDDEN items lies inside S.  ORDER names the relation of
+posets, double posets and mixed graphs whose pairs running from the
+complement into S make the split along (S, complement) vanish; the other
+splitting kinds never split to zero.  A matroid is read through its rank
+table instead: the minor left after contracting C has rank X -> r(X |
+C) - r(C).  Hypergraphs and point collections (DIRECT_ONLY_KINDS,
+generalized permutohedra for the latter) have no splitting calculus
 here; their properness predicate is stated directly on whole set
-compositions.  splitting_memo owns the calculus over label masks: each
-minor built once, each character value decided once and each split read
-off one predecessor mask per label set, for the kernel's next-block
-table and the convexity check alike.
+compositions.  splitting_memo owns the calculus: one table of character
+values per label mask (or the rank table) and one predecessor mask per
+label set for the splits, shared by the kernel's next-block table and
+the convexity check.
 
 A character assigns 0 or 1 to a structure, multiplicatively over blocks.
 Supported names and the kinds they apply to:
@@ -138,14 +139,12 @@ class Matroid:
         for b in bases:
             if not b <= gset:
                 raise DomainError("basis %r is not a subset of the ground set" % (sorted(b),))
-        if len(self.ground) <= 10:
-            for A in bases:
-                for B in bases:
-                    for a in A - B:
-                        if not any((A - {a}) | {b} in bases for b in B - A):
-                            raise DomainError(
-                                "basis exchange fails for %r, %r at %r"
-                                % (sorted(A), sorted(B), a))
+        for A in bases:
+            for B in bases:
+                for a in A - B:
+                    if not any((A - {a}) | {b} in bases for b in B - A):
+                        raise DomainError("bases fail the exchange axiom for %r, %r at %r"
+                                          % (sorted(A), sorted(B), a))
 
     @property
     def rank(self):
@@ -362,6 +361,18 @@ ITEMS = {
 # The relation whose pairs (a, b), a outside S and b in S, make a split zero.
 ORDER = {"poset": "less", "double_poset": "less1", "mixed_graph": "directed"}
 
+# The items of each character, as (h, s) -> items with s the dim_bound
+# bound, whose presence inside S makes the character 0 on the restriction
+# to S; a matroid's chromatic character reads its rank table instead.
+FORBIDDEN = {
+    "zeta": lambda h, s: (),
+    "chromatic": lambda h, s: h.edges if h.kind == "graph" else h.less,
+    "strong_mixed": lambda h, s: h.undirected | h.directed,
+    "weak_mixed": lambda h, s: h.undirected,
+    "inversion_free": lambda h, s: [(a, b) for a, b in h.less1 if (b, a) in h.less2],
+    "dim_bound": lambda h, s: [f for f in h.faces if len(f) > s],
+}
+
 DIRECT_ONLY_KINDS = set(KIND_CLASSES) - set(ITEMS)
 
 
@@ -373,152 +384,95 @@ def check_compatible(h, char):
 
 
 # ---------------------------------------------------------------------------
-# restriction / contraction / splitting
-
-
-def restrict(h, S):
-    """The induced structure on S (a nonempty subset of the ground set):
-    the items of every ITEMS field that lie inside S.
-
-    A matroid M gives the bases B & S of largest size, over the bases B
-    of M.  Every independent subset I of S extends to a basis B of M, and
-    when I is maximal in S, B & S (independent, containing I) equals I.
-    So the bases of M|S, the maximal independent subsets of S, are
-    exactly these top-size traces; a loop-only S gives one empty basis."""
-    S = frozenset(S)
-    _check_subset(h, S)
-    if h.kind == "matroid":
-        top = max(len(b & S) for b in h.bases)
-        return Matroid(tuple(S), frozenset(b & S for b in h.bases if len(b & S) == top))
-    if h.kind not in ITEMS:
-        raise DomainError("kind %s has no restriction; its properness test is direct" % h.kind)
-    return type(h)(tuple(S), *(frozenset(filter(S.issuperset, getattr(h, f)))
-                               for f in ITEMS[h.kind]))
-
-
-def contract(h, S):
-    """The structure induced on the complement of S after splitting off S.
-
-    A matroid M gives the sets B - S over the same bases B as restrict,
-    those meeting S in a basis I = B & S of M|S.  M/S fixes one such I
-    and takes the J outside S with I | J a basis of M.  Those J do not
-    depend on I: since I spans S, I | J is a basis exactly when
-    |J| = rank(M) - rank(S) and rank(J | S) = |J| + rank(S) (Oxley,
-    Matroid Theory, 3.1.7).  So the union over every I equals the set
-    the lexicographically first I gave.  Every other splitting kind
-    contracts by restricting to the complement."""
-    S = frozenset(S)
-    _check_subset(h, S)
-    rest = frozenset(h.ground) - S
-    if not rest:
-        raise DomainError("cannot contract the full ground set")
-    if h.kind == "matroid":
-        top = max(len(b & S) for b in h.bases)
-        return Matroid(tuple(rest), frozenset(b - S for b in h.bases if len(b & S) == top))
-    if h.kind in ITEMS:
-        return restrict(h, rest)
-    raise DomainError("kind %s has no contraction; its properness test is direct" % h.kind)
-
-
-def _check_subset(h, S):
-    if not S:
-        raise DomainError("subset must be nonempty")
-    if not S <= set(h.ground):
-        raise DomainError("%r is not a subset of the ground set" % (sorted(S),))
-
-
-# ---------------------------------------------------------------------------
-# character values
-
-
-def char_value(h, char):
-    """0/1 value of a character on a whole structure."""
-    char = check_compatible(h, char)
-    name = char.name
-    if name == "zeta":
-        return 1
-    if name == "chromatic":
-        if h.kind == "graph":
-            return 1 if not h.edges else 0
-        if h.kind == "poset":
-            return 1 if not h.less else 0
-        if h.kind == "matroid":
-            return 1 if len(h.bases) == 1 else 0
-    if name == "strong_mixed":
-        return 1 if not h.undirected and not h.directed else 0
-    if name == "weak_mixed":
-        return 1 if not h.undirected else 0
-    if name == "inversion_free":
-        bad = any((a, b) in h.less1 and (b, a) in h.less2 for a, b in h.less1)
-        return 0 if bad else 1
-    if name == "unique_local_max":
-        return 1 if all(len(e) == 1 for e in h.edges) else 0
-    if name == "dim_bound":
-        return 1 if all(len(f) <= char.s for f in h.faces) else 0
-    if name == "vertex_generic":
-        return 1 if len(h.points) == 1 else 0
-    raise AssertionError("unhandled character %s on kind %s" % (char, h.kind))
-
-
-# ---------------------------------------------------------------------------
 # the splitting calculus on label masks
 
 
 class SplittingMemo:
     """The splitting calculus of one splitting-kind structure h and a
-    character, over label masks (label i of the sorted ground set is bit
-    i), each minor and character value computed once.  For masks S
-    inside R:
+    character, as tables over label masks (label i of the sorted ground
+    set is bit i); no minor is built.  The minor at R is h with the
+    labels outside R contracted.  For masks S inside R:
 
-    - one(R, S): is the character 1 on restrict(contract(h, ground - R),
-      S)?  When S = R this is the minor contract(h, ground - R) itself.
+    - one(R, S): is the character 1 on the restriction of the minor at R
+      to S?  When S = R this is the minor itself.
     - nonzero(R, S), S a proper part of R: is the split of that minor
       along S nonzero?
 
-    minors[R] is the minor at R, each built once.  Graphs, posets, mixed
-    graphs, double posets and simplicial complexes contract by restricting
-    to the complement, so their minor at R is restrict(h, R), and
-    restricting it to S gives minors[S]: for them one(R, S) depends on S
-    alone and is keyed by S, 2^n values.  Matroids key it by (R, S).
-    key(R, T) names the structure restrict(contract(h, ground - R), T):
-    equal keys mean equal structures.
+    Graphs, posets, mixed graphs, double posets and simplicial complexes
+    contract by restricting to the complement, so the minor at R keeps
+    the items of h inside R and its restriction to S the items inside S:
+    one(R, S) depends on S alone.  The character is 1 on it exactly when
+    no FORBIDDEN item of the character lies inside S, and free[S] says
+    so, built once, one lowest bit of S at a time: an item inside S that
+    holds the lowest bit of S has it as its own lowest bit.
+
+    A matroid M has the rank table rank[X] = max |B & X| over its basis
+    masks B.  With C = ground - R, the bases of M/C are the J outside C
+    with J | I a basis of M, for a basis I of M|C (Oxley, Matroid Theory,
+    3.1.7), so the minor at R restricted to S has rank X -> r(X | C) -
+    r(C) on the X inside S.  zeta is 1 on every minor, and so is free.
+    chromatic is 1 when the minor has exactly one basis, which holds
+    exactly when its non-loops are independent: every basis avoids the
+    loops, and every non-loop e lies in a basis since {e} is independent,
+    so a single basis is the set of non-loops; conversely independent
+    non-loops span (loops add no rank), so they are a basis and every
+    basis, a set of non-loops of the same size, equals them.  The loops
+    of the minor are the labels in closure[C], those e with r(C | e) =
+    r(C).  So chromatic is 1 when r(S | C) - r(C), the rank of the
+    non-loops, equals the number of labels of S outside closure[C].
 
     into[S] is the mask of the labels a with an ORDER pair (a, b), b in
-    S, built once, one lowest bit of S at a time.  The split of the minor
-    at R along S is zero exactly when an ORDER pair of that minor runs
-    from R - S into S.  The kinds with an ORDER entry contract by
-    restriction, so their minor at R keeps exactly the pairs of h with
-    both labels in R, and such a pair (a, b), b in S and a in R - S, is a
-    bit a of into[S] & (R - S).  So nonzero(R, S) is not into[S] &
-    (R - S).  The kinds without an ORDER entry (graphs, matroids,
-    simplicial complexes) never split to zero; their into is all 0."""
+    S, built with free.  The split of the minor at R along S is zero
+    exactly when an ORDER pair of that minor runs from R - S into S.  The
+    kinds with an ORDER entry contract by restriction, so their minor at
+    R keeps exactly the pairs of h with both labels in R, and such a pair
+    (a, b), b in S and a in R - S, is a bit a of into[S] & (R - S).  So
+    nonzero(R, S) is not into[S] & (R - S).  The kinds without an ORDER
+    entry (graphs, matroids, simplicial complexes) never split to zero;
+    their into is all 0.
+
+    key(R, T) names the minor at R restricted to T: equal keys mean equal
+    minors.  A kind that contracts by restriction keeps the items of h
+    inside T there, named by T alone; a matroid's is named by (R, T)."""
 
     def __init__(self, h, char):
-        self.char, self.labels = char, mask_labels(h.ground)
+        self.kind, self.labels = h.kind, mask_labels(h.ground)
         full = self.full = len(self.labels) - 1
-        self.minors = ([None] + [contract(h, self.labels[full ^ R]) for R in range(1, full)]
-                       + [h])
-        self._by_restriction = h.kind != "matroid"
-        self._one = {}
         at = {x: i for i, x in enumerate(h.ground)}
+
+        def mask(item):
+            return sum(1 << at[x] for x in item)
+
         before = [0] * len(at)  # before[i]: into of label i alone
         for a, b in getattr(h, ORDER[h.kind]) if h.kind in ORDER else ():
             before[at[b]] |= 1 << at[a]
-        self.into = into = [0]
+        lowest = [[] for _ in at]  # lowest[i]: the forbidden items of lowest bit i
+        self.rank = None
+        if h.kind == "matroid" and char.name == "chromatic":
+            bases = {mask(b) for b in h.bases}
+            rank = self.rank = [max((B & X).bit_count() for B in bases)
+                                for X in range(full + 1)]
+            self.closure = [sum(1 << i for i in range(len(at)) if rank[C | 1 << i] == rank[C])
+                            for C in range(full + 1)]
+        else:
+            for item in FORBIDDEN[char.name](h, char.s):
+                m = mask(item)
+                lowest[(m & -m).bit_length() - 1].append(m)
+        self.into, self.free = into, free = [0], [True]
         for S in range(1, full + 1):
             low = S & -S
-            into.append(into[S ^ low] | before[low.bit_length() - 1])
+            i = low.bit_length() - 1
+            into.append(into[S ^ low] | before[i])
+            free.append(free[S ^ low] and all(m & ~S for m in lowest[i]))
 
     def key(self, R, T):
-        return T if self._by_restriction else (R, T)
+        return (R, T) if self.kind == "matroid" else T
 
     def one(self, R, S):
-        key = self.key(R, S)
-        if key not in self._one:
-            piece = (self.minors[S] if self._by_restriction or S == R
-                     else restrict(self.minors[R], self.labels[S]))
-            self._one[key] = char_value(piece, self.char) == 1
-        return self._one[key]
+        if self.rank is None:
+            return self.free[S]
+        C = self.full ^ R
+        return self.rank[S | C] - self.rank[C] == (S & ~self.closure[C]).bit_count()
 
     def nonzero(self, R, S):
         return not self.into[S] & (R ^ S)

@@ -8,13 +8,13 @@ and point collections get their direct tests.  The program decides the
 same questions over label masks: structures.SplittingMemo.nonzero for
 the splits, chromatic._next_blocks and _points_filter for the
 compositions, structures.coloring_test for colorings.  restrict,
-contract and char_value are read through the structures module, so a
-fault injected there reaches this route as well."""
+contract and char_value are read through the minor_reference module, so
+a fault injected there reaches this route as well."""
 
-from hopfchrom import structures
+import minor_reference
 from hopfchrom.errors import DomainError
-from hopfchrom.structures import (ITEMS, ORDER, _check_subset,
-                                  _unique_argmax, check_compatible)
+from hopfchrom.structures import ITEMS, ORDER, _unique_argmax, check_compatible
+from minor_reference import _check_subset
 
 
 def split_is_zero(h, S):
@@ -48,10 +48,10 @@ def proper_composition(h, char, comp):
         last = i == len(comp.blocks) - 1
         if not last and split_is_zero(cur, S):
             return 0
-        if structures.char_value(structures.restrict(cur, S), char) == 0:
+        if minor_reference.char_value(minor_reference.restrict(cur, S), char) == 0:
             return 0
         if not last:
-            cur = structures.contract(cur, S)
+            cur = minor_reference.contract(cur, S)
     return 1
 
 

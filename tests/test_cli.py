@@ -293,6 +293,22 @@ def test_exit_code_malformed_list_field(tmp_path, capsys, job, field):
     assert field in err["message"]
 
 
+@pytest.mark.parametrize("n", [10, 11])
+def test_exit_code_non_matroid_at_any_size(tmp_path, capsys, n):
+    """The bases {a, b} and {c, d} fail basis exchange ({b, c} is no
+    basis), and an input matroid is refused for it (exit 2, naming the
+    bases) on 11 labels as on 10, so a raised --max-ground never runs a
+    non-matroid."""
+    job = _write_job(tmp_path, {"kind": "matroid", "character": "zeta",
+                                "ground": list("abcdefghijk"[:n]),
+                                "bases": [["a", "b"], ["c", "d"]]})
+    argv = ["psi", "--input", job, "--max-ground", str(n), "--output", str(tmp_path / "o")]
+    assert main(argv) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "domain"
+    assert "bases" in err["message"]
+
+
 @pytest.mark.parametrize("colors", [True, False])
 def test_exit_code_boolean_colors(tmp_path, capsys, colors):
     job = _write_job(tmp_path, dict(FOUR_CYCLE_JOB, colors=colors))

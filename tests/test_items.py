@@ -1,9 +1,9 @@
 """Differential tests of the item table in structures (ITEMS, ORDER),
-which states restriction, contraction, zero splits (through the
-label-set peel_reference.split_is_zero) and relabeling once for the six
-splitting kinds, against the per-kind code it replaced
-(reference_restrict, reference_contract, reference_split_is_zero,
-reference_automorphism_check).  The references compare on every corpus
+which states relabeling once for the six splitting kinds, and through
+which the minor route of minor_reference states restriction and
+contraction and peel_reference.split_is_zero the zero splits, against
+the per-kind code it replaced (reference_restrict, reference_contract,
+reference_split_is_zero, reference_automorphism_check).  The references compare on every corpus
 structure, on every subset and every permutation of its ground set, and
 on C7 and a seven-element poset under a sample of permutations.  The
 point-collection reference hashes Fraction points where automorphism_check
@@ -18,11 +18,13 @@ from hopfchrom import randgen, structures
 from hopfchrom.compositions import mask_labels
 from hopfchrom.errors import DomainError
 from hopfchrom.groups import Permutation
-from hopfchrom.structures import (DIRECT_ONLY_KINDS, ITEMS, KIND_CLASSES,
-                                  ORDER, DoublePoset, Graph, Matroid,
-                                  MixedGraph, Poset, SimplicialComplex,
-                                  automorphism_check, contract,
-                                  loday_associahedron, make_poset, restrict)
+from hopfchrom.structures import (CHARACTER_KINDS, DIRECT_ONLY_KINDS,
+                                  FORBIDDEN, ITEMS, KIND_CLASSES, ORDER,
+                                  DoublePoset, Graph, Matroid, MixedGraph,
+                                  Poset, SimplicialComplex,
+                                  automorphism_check, loday_associahedron,
+                                  make_poset)
+from minor_reference import contract, restrict
 from peel_reference import split_is_zero
 from test_kernel import cycle_graph
 
@@ -149,6 +151,13 @@ def test_table_covers_the_splitting_kinds():
         cls = KIND_CLASSES[kind]
         assert cls.__dataclass_fields__.keys() - {"ground"} == set(fields), kind
         assert tuple(cls.__dataclass_fields__)[1:] == fields, kind
+
+
+def test_forbidden_items_cover_the_splitting_characters():
+    """FORBIDDEN has an entry for every character of a splitting kind and
+    none for the direct-only characters."""
+    assert set(FORBIDDEN) == {name for name, kinds in CHARACTER_KINDS.items()
+                              if kinds - DIRECT_ONLY_KINDS}
 
 
 def test_minors_and_splits_match_reference_on_corpus():

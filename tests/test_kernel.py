@@ -20,8 +20,8 @@ from hopfchrom.errors import ResourceCapError
 from hopfchrom.groups import ClassFunction
 from hopfchrom.randgen import GENERATORS, corpus
 from hopfchrom.structures import (CharacterSpec, Graph, Matroid,
-                                  PointCollection, _unique_argmax, contract,
-                                  restrict)
+                                  PointCollection, _unique_argmax)
+from minor_reference import contract, restrict
 from peel_reference import _points_proper, proper_composition
 from test_groups import dihedral
 
@@ -163,7 +163,9 @@ def test_matroid_contraction_is_associative():
     """M/S1/S2 = M/(S1 | S2): the kernel contracts once by all placed
     labels where peeling contracts block by block.  And minors commute,
     contract(restrict(M/A, T), S) = restrict(M/(A | S), T - S), which lets
-    the convexity walk name every minor by a pair of label masks."""
+    the convexity walk name every minor by a pair of label masks.  The
+    rank-table arguments in chromatic and check_balanced_convex state
+    both; this checks them on the minor route of minor_reference."""
     ground = tuple("abcdefg")
     u37 = Matroid(ground, frozenset(frozenset(b) for b in combinations(ground, 3)))
     matroids = [h for _, h, _, _ in CORPUS if h.kind == "matroid"] + [u37]

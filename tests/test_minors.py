@@ -1,5 +1,5 @@
-"""Differential tests of the matroid minors in structures, each one pass
-over the bases, against the subset enumeration they replaced
+"""Differential tests of the matroid minors of minor_reference, the minor
+route the mask calculus is tested against, each one pass over the bases, against the subset enumeration they replaced
 (reference_restrict, reference_contract): every independent subset of S
 listed by testing it against every basis, and the contraction searched
 over the complement next to the lexicographically first maximal one.
@@ -13,7 +13,8 @@ from itertools import combinations
 import pytest
 
 from hopfchrom.randgen import corpus
-from hopfchrom.structures import Matroid, contract, restrict
+from hopfchrom.structures import Matroid
+from minor_reference import contract, restrict
 
 
 def reference_independent(m, I):

@@ -12,20 +12,25 @@ from itertools import combinations
 
 import pytest
 
+import minor_reference
 from hopfchrom import chromatic, jobio, structures
-from hopfchrom.complexes import check_balanced_convex
+from hopfchrom.chromatic import psi
+from hopfchrom.complexes import check_balanced_convex, coloring_complex
 from hopfchrom.compositions import mask_labels, submasks
 from hopfchrom.groups import PermGroup, Permutation
 from hopfchrom.randgen import corpus
-from hopfchrom.structures import (DIRECT_ONLY_KINDS, CharacterSpec,
-                                  Matroid, make_double_poset, make_poset)
+from hopfchrom.structures import (CHARACTER_KINDS, DIRECT_ONLY_KINDS,
+                                  CharacterSpec, Matroid, make_double_poset,
+                                  make_poset)
 from hopfchrom.verify import run_verification
+from minor_reference import MinorMemo
 from peel_reference import split_is_zero
 from test_groups import dihedral
 from test_items import POSET7
 from test_kernel import cycle_graph
 
-SPLITTING = [(name, h, char) for name, h, char, _ in corpus()
+CORPUS = corpus()
+SPLITTING = [(name, h, char) for name, h, char, _ in CORPUS
              if h.kind not in DIRECT_ONLY_KINDS]
 
 
@@ -53,9 +58,9 @@ def reference_splits(minor, char, S, whole):
     """The former chromatic._splits: whether block S may be peeled off the
     minor."""
     if whole:
-        return structures.char_value(minor, char) == 1
+        return minor_reference.char_value(minor, char) == 1
     return (not split_is_zero(minor, S)
-            and structures.char_value(structures.restrict(minor, S), char) == 1)
+            and minor_reference.char_value(minor_reference.restrict(minor, S), char) == 1)
 
 
 def reference_next_blocks(h, char):
@@ -65,7 +70,7 @@ def reference_next_blocks(h, char):
     full = len(labels) - 1
     table = [[]]
     for R in range(1, full + 1):
-        minor = h if R == full else structures.contract(h, labels[full ^ R])
+        minor = h if R == full else minor_reference.contract(h, labels[full ^ R])
         table.append([S for S in submasks(R)
                       if reference_splits(minor, char, labels[S], S == R)])
     return table
@@ -83,7 +88,7 @@ def reference_convex(h, char):
         seen.add(cur)
         ground = cur.ground
         n = len(ground)
-        phi = structures.char_value(cur, char)
+        phi = minor_reference.char_value(cur, char)
         if n == 1:
             if phi != 1:
                 return {"condition": 1, "ground": list(ground), "trail": trail,
@@ -99,9 +104,9 @@ def reference_convex(h, char):
             return {"condition": 2, "ground": list(ground), "trail": trail,
                     "detail": "no nonzero split exists"}
         for S in splits:
-            left, right = structures.restrict(cur, S), structures.contract(cur, S)
-            if phi == 1 and (structures.char_value(left, char) != 1
-                             or structures.char_value(right, char) != 1):
+            left, right = minor_reference.restrict(cur, S), minor_reference.contract(cur, S)
+            if phi == 1 and (minor_reference.char_value(left, char) != 1
+                             or minor_reference.char_value(right, char) != 1):
                 return {"condition": 3, "ground": list(ground),
                         "subset": sorted(S), "trail": trail,
                         "detail": "character 1 on the whole but 0 on a piece"}
@@ -127,19 +132,43 @@ def _dumped(witness):
     return out.getvalue()
 
 
+def _characters(h):
+    """Every character of h's kind, dim_bound with s = 1, 2 and 3."""
+    return [CharacterSpec(name, s) for name, kinds in sorted(CHARACTER_KINDS.items())
+            if h.kind in kinds for s in ((1, 2, 3) if name == "dim_bound" else (None,))]
+
+
+def _one_matches_the_minor_route(name, h):
+    """SplittingMemo.one against MinorMemo.one on every (R, S), S inside
+    R, under every character of the kind.  Returns the values seen."""
+    values = set()
+    for char in _characters(h):
+        memo, ref = structures.SplittingMemo(h, char), MinorMemo(h, char)
+        for R in range(1, memo.full + 1):
+            for S in submasks(R):
+                got = memo.one(R, S)
+                assert got == ref.one(R, S), (name, str(char), memo.labels[R], memo.labels[S])
+                values.add(got)
+    return values
+
+
 @pytest.mark.parametrize("name, h, char", LARGER + [
     ("U(4,8)", uniform_matroid(4, 8), CharacterSpec("chromatic"))],
     ids=lambda v: v if isinstance(v, str) else "")
 def test_memo_matches_references(name, h, char):
+    assert _one_matches_the_minor_route(name, h) == {True, False}
     assert chromatic._next_blocks(h, char) == reference_next_blocks(h, char)
     assert check_balanced_convex(h, char) == reference_convex(h, char)
 
 
 def test_memo_matches_references_on_corpus():
+    values = set()
     for name, h, char in SPLITTING:
+        values |= _one_matches_the_minor_route(name, h)
         structures.splitting_memo.cache_clear()
         assert chromatic._next_blocks(h, char) == reference_next_blocks(h, char), name
         assert check_balanced_convex(h, char) == reference_convex(h, char), name
+    assert values == {True, False}
 
 
 def test_mask_splits_match_the_label_set_reference():
@@ -154,7 +183,7 @@ def test_mask_splits_match_the_label_set_reference():
         memo = structures.SplittingMemo(h, char)
         labels = memo.labels
         for R in range(1, memo.full + 1):
-            minor = structures.restrict(h, labels[R])
+            minor = minor_reference.restrict(h, labels[R])
             for S in submasks(R):
                 if S != R:
                     want = not split_is_zero(minor, labels[S])
@@ -177,11 +206,17 @@ def _faults(h, sizes):
 
 
 def _check_faults(monkeypatch, h, char, sizes):
-    real = structures.char_value
+    """Inject each fault into both routes alike: the reference char_value
+    reads 0 on a structure with ground t, and SplittingMemo.one reads
+    False on the masks S with labels t."""
+    real_value, real_one = minor_reference.char_value, structures.SplittingMemo.one
     found = []
     for target in _faults(h, sizes):
-        monkeypatch.setattr(structures, "char_value",
-                            lambda m, c, t=target: 0 if m.ground == t else real(m, c))
+        monkeypatch.setattr(minor_reference, "char_value",
+                            lambda m, c, t=target: 0 if m.ground == t else real_value(m, c))
+        monkeypatch.setattr(structures.SplittingMemo, "one",
+                            lambda memo, R, S, t=target: (memo.labels[S] != t
+                                                          and real_one(memo, R, S)))
         structures.splitting_memo.cache_clear()
         got, want = check_balanced_convex(h, char), reference_convex(h, char)
         assert got == want, (h, char, target)
@@ -206,31 +241,50 @@ def test_injected_faults_give_the_reference_witness(monkeypatch, name, h, char):
     assert {1, 3} <= set(_check_faults(monkeypatch, h, char, sizes))
 
 
-@pytest.mark.parametrize("name, h, char", [
+VERIFIED = [
     ("poset7", LARGER[3][1], LARGER[3][2]),
     ("C6", cycle_graph(6), CharacterSpec("chromatic")),
     ("U(2,5)", uniform_matroid(2, 5), CharacterSpec("chromatic")),
-], ids=lambda v: v if isinstance(v, str) else "")
-def test_verify_evaluates_each_split_once(monkeypatch, name, h, char):
-    """One run_verification builds each minor and each restriction of a
-    minor once: psi's table, the convexity walk and the complex's table
-    read one memo.  For the kinds that contract by restriction the
-    character is read once per label mask."""
-    restricts, values = [], []
-    real_restrict, real_value = structures.restrict, structures.char_value
+]
 
-    def counted_restrict(m, S):
-        restricts.append((m, frozenset(S)))
-        return real_restrict(m, S)
 
-    def counted_value(m, c):
-        values.append(m)
-        return real_value(m, c)
+def _group(name, h):
+    return dihedral(6) if name == "C6" else PermGroup((Permutation.identity(h.ground),))
 
-    monkeypatch.setattr(structures, "restrict", counted_restrict)
-    monkeypatch.setattr(structures, "char_value", counted_value)
-    group = dihedral(6) if name == "C6" else PermGroup((Permutation.identity(h.ground),))
-    assert run_verification(h, char, group, include_oracle=False)["ok"]
-    assert restricts and len(restricts) == len(set(restricts))
-    if h.kind != "matroid":
-        assert len(values) <= 1 << len(h.ground)
+
+@pytest.mark.parametrize("name, h, char", VERIFIED,
+                         ids=lambda v: v if isinstance(v, str) else "")
+def test_verify_builds_one_splitting_memo(monkeypatch, name, h, char):
+    """One run_verification builds one SplittingMemo: psi's table, the
+    convexity walk and the complex's table read it."""
+    built, real = [], structures.SplittingMemo
+
+    def counted(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(structures, "SplittingMemo", counted)
+    assert run_verification(h, char, _group(name, h), include_oracle=False)["ok"]
+    assert built == [(h, char)]
+
+
+def test_no_structure_is_built(monkeypatch):
+    """psi, coloring_complex and run_verification (with the oracle) of a
+    built structure construct no structure of any kind: no minor is
+    built, so none is validated again.  One corpus case per kind and
+    character, and the verified cases above."""
+    cases, seen = [], set()
+    for name, h, char, group in CORPUS:
+        if (h.kind, char.name) not in seen:
+            seen.add((h.kind, char.name))
+            cases.append((h, char, group))
+    cases += [(h, char, _group(name, h)) for name, h, char in VERIFIED]
+    built = []
+    for cls in structures.KIND_CLASSES.values():
+        monkeypatch.setattr(cls, "__post_init__", lambda self: built.append(self.kind))
+    for h, char, group in cases:
+        structures.splitting_memo.cache_clear()
+        psi(h, char, group)
+        coloring_complex(h, char)
+        assert run_verification(h, char, group)["ok"], (h, char)
+    assert len(seen) == 15 and built == []

@@ -9,10 +9,11 @@ from hopfchrom.groups import Permutation
 from hopfchrom.structures import (CharacterSpec, DoublePoset, Graph,
                                   Hypergraph, Matroid, MixedGraph,
                                   PointCollection, SimplicialComplex,
-                                  automorphism_check, automorphisms,
-                                  char_value, check_compatible, contract,
+                                  SplittingMemo, automorphism_check,
+                                  automorphisms, check_compatible,
                                   loday_associahedron, make_double_poset,
-                                  make_poset, proper_coloring, restrict)
+                                  make_poset, proper_coloring)
+from minor_reference import char_value, contract, restrict
 from peel_reference import proper_composition, split_is_zero
 
 ABCD = ("a", "b", "c", "d")
@@ -20,6 +21,14 @@ ABCD = ("a", "b", "c", "d")
 
 def _graph(*pairs):
     return Graph(ABCD, frozenset(frozenset(p) for p in pairs))
+
+
+def _one(h, char, S, R=None):
+    """SplittingMemo(h, char).one(R, S) on label sets; R defaults to the
+    whole ground set, S = R asks for the minor at R itself."""
+    bit = {x: 1 << i for i, x in enumerate(h.ground)}
+    R = h.ground if R is None else R
+    return SplittingMemo(h, char).one(sum(bit[x] for x in R), sum(bit[x] for x in S))
 
 
 def test_graph_restrict_contract():
@@ -49,6 +58,11 @@ def test_poset_characters():
     assert char_value(chain, CharacterSpec("chromatic")) == 0
     anti = make_poset(("a", "b"), [])
     assert char_value(anti, CharacterSpec("chromatic")) == 1
+    # the same values from the mask calculus
+    assert _one(chain, CharacterSpec("zeta"), "ab")
+    assert not _one(chain, CharacterSpec("chromatic"), "ab")
+    assert _one(chain, CharacterSpec("chromatic"), "a")
+    assert _one(anti, CharacterSpec("chromatic"), "ab")
 
 
 def test_matroid_validation():
@@ -68,6 +82,16 @@ def test_matroid_validation():
     c = contract(u24, {"0"})
     assert c.rank == 1
     assert len(c.bases) == 3
+    assert char_value(c, CharacterSpec("chromatic")) == 0
+    assert char_value(restrict(c, {"1"}), CharacterSpec("chromatic")) == 1
+    # the same values from the rank table: U(2,4) and U(1,3) have more
+    # than one basis, U(2,2) and U(1,1) exactly one
+    chrom = CharacterSpec("chromatic")
+    assert not _one(u24, chrom, "0123")
+    assert _one(u24, chrom, "01")
+    assert not _one(u24, chrom, "123", R="123")
+    assert _one(u24, chrom, "1", R="123")
+    assert _one(u24, CharacterSpec("zeta"), "0123")
 
 
 def test_mixed_graph_validation():
@@ -85,6 +109,11 @@ def test_mixed_graph_validation():
     # weak character tolerates arcs but not undirected edges
     assert char_value(restrict(m, {"a", "b"}), CharacterSpec("weak_mixed")) == 1
     assert char_value(restrict(m, {"b", "c"}), CharacterSpec("weak_mixed")) == 0
+    # the same values from the mask calculus
+    assert not _one(m, CharacterSpec("strong_mixed"), "abcd")
+    assert _one(m, CharacterSpec("strong_mixed"), "ad")
+    assert _one(m, CharacterSpec("weak_mixed"), "ab")
+    assert not _one(m, CharacterSpec("weak_mixed"), "bc")
 
 
 def test_double_poset():
@@ -100,6 +129,9 @@ def test_double_poset():
     # unless order 2 agrees
     ad = restrict(d, {"a", "d"})
     assert char_value(ad, CharacterSpec("inversion_free")) == 0
+    # the same values from the mask calculus
+    assert _one(d, CharacterSpec("inversion_free"), "ac")
+    assert not _one(d, CharacterSpec("inversion_free"), "ad")
 
 
 def test_hypergraph_properness_is_direct():
@@ -127,6 +159,12 @@ def test_simplicial_complex_closure():
     assert char_value(s, CharacterSpec("dim_bound", s=2)) == 1
     full = SimplicialComplex(("a", "b", "c"), frozenset({frozenset({"a", "b", "c"})}))
     assert char_value(full, CharacterSpec("dim_bound", s=2)) == 0
+    # the same values from the mask calculus
+    assert not _one(s, CharacterSpec("dim_bound", s=1), "abc")
+    assert _one(s, CharacterSpec("dim_bound", s=1), "ac")
+    assert _one(s, CharacterSpec("dim_bound", s=2), "abc")
+    assert not _one(full, CharacterSpec("dim_bound", s=2), "abc")
+    assert _one(full, CharacterSpec("dim_bound", s=2), "bc")
 
 
 def test_point_collection():
