@@ -166,7 +166,8 @@ def run_command(args):
         print("FutureWarning: --workers is deprecated and ignored: every command "
               "runs serially", file=sys.stderr)
     flag = jobio.check_colors(getattr(args, "colors", None))
-    h, char, group, colors = jobio.read_job(args.input, group_cap=args.max_group_order)
+    h, char, group, colors = jobio.read_job(args.input, group_cap=args.max_group_order,
+                                            max_ground=args.max_ground)
     if char is None:
         raise DomainError("missing field 'character'")
     k = next(c for c in (flag, colors, len(h.ground)) if c is not None)

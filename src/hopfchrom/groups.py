@@ -177,6 +177,13 @@ class PermGroup:
 
     Attributes: ground, generators, elements (BFS order, identity first),
     class_reps, class_sizes, and the per-element class index.
+
+    The class of x is the closure of {x} under y -> g y g^-1 for each
+    generator g.  Each such map c is a bijection of the finite group, so
+    it has finite order k and c^-1 = c^(k-1); a set closed under every c
+    is then closed under their inverses too, hence under conjugation by
+    every product of generators, which is every element.  So a class
+    costs |class| * |generators| products, not |group|.
     """
 
     def __init__(self, generators, ground=None, cap=GROUP_ORDER_CAP):
@@ -214,12 +221,15 @@ class PermGroup:
         self._elem_index = index
 
         assigned = [None] * len(elements)
-        inverses = [x.inverse() for x in elements]
+        conjugators = [(g, g.inverse()) for g in generators]
         reps, sizes, members = [], [], []
         for i, x in enumerate(elements):
             if assigned[i] is not None:
                 continue
-            cls_set = {h * x * hi for h, hi in zip(elements, inverses)}
+            cls_set, new = {x}, {x}
+            while new:
+                new = {g * y * gi for y in new for g, gi in conjugators} - cls_set
+                cls_set |= new
             ci = len(reps)
             for y in cls_set:
                 assigned[index[y]] = ci

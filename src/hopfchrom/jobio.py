@@ -11,7 +11,7 @@ and any other exact value as its string.
 import json
 from fractions import Fraction
 
-from .chromatic import binomial_to_monomial
+from .chromatic import binomial_to_monomial, check_ground
 from .cyclotomic import Cyclo
 from .errors import DomainError
 from .groups import GROUP_ORDER_CAP, PermGroup, Permutation
@@ -71,13 +71,18 @@ def _pairs(raw, field):
     return out
 
 
-def parse_structure(kind, obj):
+def parse_structure(kind, obj, max_ground=None):
+    """The structure of kind in obj.  With max_ground, a ground of more
+    distinct labels is refused (ResourceCapError) before any other field
+    is read or any structure is built."""
     if not isinstance(obj, dict):
         raise DomainError("structure is not a JSON object")
+    field = "vertices" if kind == "graph" else "ground"
+    given = _labels(_need(obj, field, kind), field)
+    if max_ground is not None:
+        check_ground(len(set(given)), max_ground)
     if kind == "graph":
-        return Graph(tuple(_labels(_need(obj, "vertices", kind), "vertices")),
-                     _pairs(obj.get("edges", []), "edges"))
-    given = _labels(_need(obj, "ground", kind), "ground")
+        return Graph(tuple(given), _pairs(obj.get("edges", []), "edges"))
     ground = tuple(sorted(given))
     if kind == "poset":
         return make_poset(ground, _pairs(obj.get("relations", []), "relations"))
@@ -122,14 +127,15 @@ def parse_group(raw, ground, cap=GROUP_ORDER_CAP):
     return PermGroup(gens, cap=cap)
 
 
-def load_job(data, group_cap=GROUP_ORDER_CAP):
-    """Parse one job dict into structure, character, group, colors."""
+def load_job(data, group_cap=GROUP_ORDER_CAP, max_ground=None):
+    """Parse one job dict into structure, character, group, colors; with
+    max_ground, the ground cap is checked before anything is built."""
     if not isinstance(data, dict):
         raise DomainError("job must be a JSON object")
     kind = data.get("kind")
     if not kind:
         raise DomainError("missing field 'kind'")
-    h = parse_structure(kind, data.get("structure", data))
+    h = parse_structure(kind, data.get("structure", data), max_ground=max_ground)
     char = None
     if "character" in data:
         char = CharacterSpec.parse(data["character"])
@@ -146,7 +152,7 @@ def check_colors(colors):
     return colors
 
 
-def read_job(path, group_cap=GROUP_ORDER_CAP):
+def read_job(path, group_cap=GROUP_ORDER_CAP, max_ground=None):
     """The job in the UTF-8 file at path; a file that cannot be opened or
     decoded, or holds no JSON document, is refused with its path."""
     try:
@@ -160,7 +166,7 @@ def read_job(path, group_cap=GROUP_ORDER_CAP):
             # JSONDecodeError, UnicodeDecodeError and an integer past the
             # digit limit of int() are all ValueErrors
             raise DomainError("invalid JSON in %s: %s" % (path, exc))
-    return load_job(data, group_cap=group_cap)
+    return load_job(data, group_cap=group_cap, max_ground=max_ground)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,12 @@ Each kind carries a ground set of string labels.  For the six splitting
 kinds one table, ITEMS, names the fields that hold label items (edges,
 relation pairs, bases, arcs, faces: each item a set or an ordered pair
 of labels), in constructor order after the ground set; a permutation is
-an automorphism when it maps every item field onto itself.  The
+an automorphism when it maps every item field onto itself.  SHAPES gives
+each field's item shape, and one routine freezes the fields and refuses
+a bad item; one transitive closure over label masks decides the order
+axioms of posets, double posets and mixed-graph arcs.  A refusal names
+the smallest offender in sorted label order, never the first one met
+in a frozenset, so its text does not depend on the hash seed.  The
 splitting calculus is stated over label masks and builds no minor.
 Restricting to S keeps the items inside S and contracting restricts to
 the complement, so a character is 1 on a restriction exactly when none
@@ -62,6 +67,66 @@ def _norm_ground(labels):
     return ground
 
 
+def _items(ground, field, raw):
+    """The items of field over ground, frozen by its SHAPES entry.  An
+    item of the wrong shape or with a label outside the ground is bad; the
+    smallest bad item in sorted label order is refused with the field's
+    text."""
+    freeze, size, text = SHAPES[field]
+    items, labels = frozenset(map(freeze, raw)), set(ground)
+    bad = [item if freeze is tuple else sorted(item) for item in items
+           if not labels >= set(item) or len(set(item)) != len(item)
+           or size not in (None, len(item))]
+    if bad:
+        raise DomainError(text % (min(bad),))
+    return items
+
+
+def _frozen_items(h):
+    """Sort the ground of h and freeze every ITEMS field of its kind in
+    place, refusing a bad item."""
+    object.__setattr__(h, "ground", _norm_ground(h.ground))
+    for field in ITEMS[h.kind]:
+        object.__setattr__(h, field, _items(h.ground, field, getattr(h, field)))
+
+
+def _predecessors(at, pairs):
+    """before[i]: the mask of the labels a with a pair (a, b), b the label
+    of index i in at."""
+    before = [0] * len(at)
+    for a, b in pairs:
+        before[at[b]] |= 1 << at[a]
+    return before
+
+
+def _closure(ground, pairs):
+    """The transitive closure of pairs over the sorted ground, and the
+    smallest label on a cycle (one that precedes itself) or None.  One
+    Warshall pass over the predecessor masks: after step k, closed[i]
+    holds the labels with a path to label i whose inner labels are all
+    below k."""
+    closed = _predecessors({x: i for i, x in enumerate(ground)}, pairs)
+    for k in range(len(closed)):
+        for i, m in enumerate(closed):
+            if m >> k & 1:
+                closed[i] = m | closed[k]
+    less = {(a, b) for b, m in zip(ground, closed) for i, a in enumerate(ground) if m >> i & 1}
+    return less, next((x for x in ground if (x, x) in less), None)
+
+
+def _strict_order(ground, pairs):
+    """Refuse pairs that are not a strict order stored transitively closed:
+    a cycle names its smallest label and the smallest label related to it
+    both ways, a relation that is not closed its smallest missing pair."""
+    less, x = _closure(ground, pairs)
+    if x is not None:
+        y = min(b for a, b in less if a == x and b != x and (b, a) in less)
+        raise DomainError("order relation contains a cycle through %r, %r" % (x, y))
+    if less != pairs:
+        raise DomainError("order relation is not transitively closed at %r"
+                          % (min(less - pairs),))
+
+
 @dataclass(frozen=True)
 class Graph:
     kind = "graph"
@@ -69,12 +134,7 @@ class Graph:
     edges: frozenset
 
     def __post_init__(self):
-        object.__setattr__(self, "ground", _norm_ground(self.ground))
-        edges = frozenset(frozenset(e) for e in self.edges)
-        object.__setattr__(self, "edges", edges)
-        for e in edges:
-            if len(e) != 2 or not e <= set(self.ground):
-                raise DomainError("bad edge %r" % (sorted(e),))
+        _frozen_items(self)
 
 
 @dataclass(frozen=True)
@@ -86,65 +146,53 @@ class Poset:
     less: frozenset
 
     def __post_init__(self):
-        object.__setattr__(self, "ground", _norm_ground(self.ground))
-        less = frozenset(tuple(p) for p in self.less)
-        object.__setattr__(self, "less", less)
-        gset = set(self.ground)
-        for a, b in less:
-            if a not in gset or b not in gset or a == b:
-                raise DomainError("bad order pair %r" % ((a, b),))
-        for a, b in less:
-            if (b, a) in less:
-                raise DomainError("order relation contains a cycle through %r, %r" % (a, b))
-            for c, d in less:
-                if b == c and (a, d) not in less:
-                    raise DomainError("order relation is not transitively closed at %r" % ((a, d),))
+        _frozen_items(self)
+        _strict_order(self.ground, self.less)
 
 
 def make_poset(ground, relations):
     """Build a poset from arbitrary strict relations (e.g. cover pairs),
-    taking the transitive closure and rejecting cycles."""
+    taking the transitive closure and rejecting cycles; a pair (a, a) is a
+    cycle through a."""
     ground = _norm_ground(ground)
-    less = {tuple(p) for p in relations}
-    changed = True
-    while changed:
-        changed = False
-        for a, b in list(less):
-            for c, d in list(less):
-                if b == c and (a, d) not in less:
-                    less.add((a, d))
-                    changed = True
-    for a, b in less:
-        if a == b or (b, a) in less:
-            raise DomainError("relations contain a cycle through %r" % (a,))
-    return Poset(ground, frozenset(less))
+    pairs = set(map(tuple, relations))
+    _items(ground, "less", {p for p in pairs if len(p) != 2 or p[0] != p[1] or p[0] not in ground})
+    less, x = _closure(ground, pairs)
+    if x is not None:
+        raise DomainError("relations contain a cycle through %r" % (x,))
+    return Poset(ground, less)
 
 
 @dataclass(frozen=True)
 class Matroid:
+    """Bases of equal size with basis exchange: for bases A, B and a in
+    A - B there is b in B - A with A - a + b a basis."""
+
     kind = "matroid"
     ground: tuple
     bases: frozenset
 
     def __post_init__(self):
-        object.__setattr__(self, "ground", _norm_ground(self.ground))
-        bases = frozenset(frozenset(b) for b in self.bases)
-        object.__setattr__(self, "bases", bases)
-        if not bases:
+        _frozen_items(self)
+        if not self.bases:
             raise DomainError("a matroid needs at least one basis")
-        sizes = {len(b) for b in bases}
+        sizes = {len(b) for b in self.bases}
         if len(sizes) != 1:
             raise DomainError("bases must all have the same size, got sizes %r" % (sorted(sizes),))
-        gset = set(self.ground)
-        for b in bases:
-            if not b <= gset:
-                raise DomainError("basis %r is not a subset of the ground set" % (sorted(b),))
-        for A in bases:
-            for B in bases:
-                for a in A - B:
-                    if not any((A - {a}) | {b} in bases for b in B - A):
+        # basis masks in sorted label order, so the first failure met is the
+        # smallest (A, B, a); swap[a] is the mask of the b outside A with
+        # A - a + b a basis
+        bit = {x: 1 << i for i, x in enumerate(self.ground)}
+        labels = {sum(map(bit.get, b)): sorted(b) for b in self.bases}
+        masks = sorted(labels, key=labels.get)
+        for A in masks:
+            swap = {x: sum(b for b in bit.values() if not A & b and A ^ a | b in labels)
+                    for x, a in bit.items() if A & a}
+            for B in masks:
+                for x, b in swap.items():
+                    if not B & bit[x] and not B & b:
                         raise DomainError("bases fail the exchange axiom for %r, %r at %r"
-                                          % (sorted(A), sorted(B), a))
+                                          % (labels[A], labels[B], x))
 
     @property
     def rank(self):
@@ -162,36 +210,11 @@ class MixedGraph:
     directed: frozenset
 
     def __post_init__(self):
-        object.__setattr__(self, "ground", _norm_ground(self.ground))
-        und = frozenset(frozenset(e) for e in self.undirected)
-        arcs = frozenset(tuple(a) for a in self.directed)
-        object.__setattr__(self, "undirected", und)
-        object.__setattr__(self, "directed", arcs)
-        gset = set(self.ground)
-        for e in und:
-            if len(e) != 2 or not e <= gset:
-                raise DomainError("bad undirected edge %r" % (sorted(e),))
-        for u, v in arcs:
-            if u == v or u not in gset or v not in gset:
-                raise DomainError("bad arc %r" % ((u, v),))
+        _frozen_items(self)
         # arcs must be acyclic for any proper coloring to exist at all
-        succ = {x: set() for x in gset}
-        for u, v in arcs:
-            succ[u].add(v)
-        seen, done = set(), set()
-
-        def visit(x):
-            if x in done:
-                return
-            if x in seen:
-                raise DomainError("directed part contains a cycle through %r" % (x,))
-            seen.add(x)
-            for y in succ[x]:
-                visit(y)
-            done.add(x)
-
-        for x in gset:
-            visit(x)
+        x = _closure(self.ground, self.directed)[1]
+        if x is not None:
+            raise DomainError("directed part contains a cycle through %r" % (x,))
 
 
 @dataclass(frozen=True)
@@ -204,11 +227,9 @@ class DoublePoset:
     less2: frozenset
 
     def __post_init__(self):
-        object.__setattr__(self, "ground", _norm_ground(self.ground))
-        for attr in ("less1", "less2"):
-            rel = frozenset(tuple(p) for p in getattr(self, attr))
-            object.__setattr__(self, attr, rel)
-            Poset(self.ground, rel)  # validates closure and acyclicity
+        _frozen_items(self)
+        for less in (self.less1, self.less2):
+            _strict_order(self.ground, less)
 
 
 def make_double_poset(ground, relations1, relations2):
@@ -244,15 +265,11 @@ class SimplicialComplex:
     faces: frozenset
 
     def __post_init__(self):
-        object.__setattr__(self, "ground", _norm_ground(self.ground))
-        faces = set(frozenset(f) for f in self.faces)
-        closed = set()
-        for f in faces:
-            if not f <= set(self.ground):
-                raise DomainError("face %r is not a subset of the ground set" % (sorted(f),))
-            for k in range(len(f) + 1):
-                closed.update(frozenset(c) for c in combinations(sorted(f), k))
-        closed.add(frozenset())
+        _frozen_items(self)
+        closed = {frozenset()}
+        for f in self.faces:
+            for k in range(1, len(f) + 1):
+                closed.update(map(frozenset, combinations(f, k)))
         object.__setattr__(self, "faces", frozenset(closed))
 
 
@@ -358,6 +375,21 @@ ITEMS = {
     "simplicial_complex": ("faces",),
 }
 
+# Each ITEMS field as (freeze, size, refusal): its items are ordered pairs
+# of distinct labels (tuple, 2), label sets of size 2 (frozenset, 2) or
+# label sets of any size (frozenset, None); an item of another shape or
+# with a label outside the ground is refused with the text.
+SHAPES = {
+    "edges": (frozenset, 2, "bad edge %r"),
+    "less": (tuple, 2, "bad order pair %r"),
+    "bases": (frozenset, None, "basis %r is not a subset of the ground set"),
+    "undirected": (frozenset, 2, "bad undirected edge %r"),
+    "directed": (tuple, 2, "bad arc %r"),
+    "less1": (tuple, 2, "bad order pair %r"),
+    "less2": (tuple, 2, "bad order pair %r"),
+    "faces": (frozenset, None, "face %r is not a subset of the ground set"),
+}
+
 # The relation whose pairs (a, b), a outside S and b in S, make a split zero.
 ORDER = {"poset": "less", "double_poset": "less1", "mixed_graph": "directed"}
 
@@ -443,9 +475,9 @@ class SplittingMemo:
         def mask(item):
             return sum(1 << at[x] for x in item)
 
-        before = [0] * len(at)  # before[i]: into of label i alone
-        for a, b in getattr(h, ORDER[h.kind]) if h.kind in ORDER else ():
-            before[at[b]] |= 1 << at[a]
+        # before[i]: into of label i alone, from the unclosed pairs (a path
+        # through a contracted label is no pair of the minor)
+        before = _predecessors(at, getattr(h, ORDER[h.kind]) if h.kind in ORDER else ())
         lowest = [[] for _ in at]  # lowest[i]: the forbidden items of lowest bit i
         self.rank = None
         if h.kind == "matroid" and char.name == "chromatic":

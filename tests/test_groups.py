@@ -136,6 +136,45 @@ def test_mask_action_matches_reference():
         assert group.stabilizer_bits is group.stabilizer_bits
 
 
+def reference_classes(group):
+    """The former class tables: each class conjugated out by every
+    element, in element order; (reps, sizes, members, class index)."""
+    index = {x: i for i, x in enumerate(group.elements)}
+    assigned = [None] * group.order
+    inverses = [x.inverse() for x in group.elements]
+    reps, sizes, members = [], [], []
+    for i, x in enumerate(group.elements):
+        if assigned[i] is not None:
+            continue
+        cls_set = {h * x * hi for h, hi in zip(group.elements, inverses)}
+        for y in cls_set:
+            assigned[index[y]] = len(reps)
+        reps.append(min(cls_set, key=lambda p: p.cycle_string()))
+        sizes.append(len(cls_set))
+        members.append(frozenset(cls_set))
+    return (tuple(reps), tuple(sizes), tuple(members),
+            {x: assigned[i] for i, x in enumerate(group.elements)})
+
+
+def symmetric(n):
+    v = tuple("abcdefghi"[:n])
+    return PermGroup((Permutation.from_cycles("(a b)", v),
+                      Permutation.from_cycles("(%s)" % " ".join(v), v)))
+
+
+def test_conjugacy_classes_match_the_all_element_reference():
+    """Classes closed under generator conjugation equal the classes
+    conjugated out by every element, on every corpus group, D_n for
+    n <= 9 and S_6."""
+    groups = ([group for _, _, _, group in corpus()] + [dihedral(n) for n in range(1, 10)]
+              + [symmetric(6)])
+    assert [g.order for g in groups[-10:]] == [1, 2, 6, 8, 10, 12, 14, 16, 18, 720]
+    for group in groups:
+        got = (group.class_reps, group.class_sizes, group.class_members, group._class_index)
+        assert got == reference_classes(group), group.generators
+    assert len(symmetric(6).class_reps) == 11
+
+
 def test_group_order_cap():
     gens = (Permutation.from_cycles("(a b)", ABCD),
             Permutation.from_cycles("(a b c d)", ABCD))

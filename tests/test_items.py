@@ -20,8 +20,8 @@ from hopfchrom.errors import DomainError
 from hopfchrom.groups import Permutation
 from hopfchrom.structures import (CHARACTER_KINDS, DIRECT_ONLY_KINDS,
                                   FORBIDDEN, ITEMS, KIND_CLASSES, ORDER,
-                                  DoublePoset, Graph, Matroid, MixedGraph,
-                                  Poset, SimplicialComplex,
+                                  SHAPES, DoublePoset, Graph, Matroid,
+                                  MixedGraph, Poset, SimplicialComplex,
                                   automorphism_check, loday_associahedron,
                                   make_poset)
 from minor_reference import contract, restrict
@@ -151,6 +151,14 @@ def test_table_covers_the_splitting_kinds():
         cls = KIND_CLASSES[kind]
         assert cls.__dataclass_fields__.keys() - {"ground"} == set(fields), kind
         assert tuple(cls.__dataclass_fields__)[1:] == fields, kind
+
+
+def test_shapes_cover_the_item_fields():
+    """SHAPES has one entry per ITEMS field; the ORDER relations hold
+    ordered pairs."""
+    assert set(SHAPES) == {field for fields in ITEMS.values() for field in fields}
+    for kind, field in ORDER.items():
+        assert SHAPES[field][:2] == (tuple, 2), kind
 
 
 def test_forbidden_items_cover_the_splitting_characters():
