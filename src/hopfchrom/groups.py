@@ -114,15 +114,27 @@ class Permutation:
         except KeyError:
             raise DomainError("label %r is not in the ground set" % (x,))
 
+    @classmethod
+    def _bijection(cls, ground, images):
+        """The permutation of ground with these images, set directly
+        without __post_init__'s check: the caller derives images from
+        valid permutations of ground, and a composition or inverse of
+        bijections of one set is a bijection of it."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "ground", ground)
+        object.__setattr__(p, "images", images)
+        object.__setattr__(p, "_map", dict(zip(ground, images)))
+        return p
+
     def __mul__(self, other):
         """Composition: (self * other)(x) = self(other(x))."""
         if self.ground != other.ground:
             raise DomainError("permutations act on different ground sets")
-        return Permutation(self.ground, tuple(self._map[y] for y in other.images))
+        return self._bijection(self.ground, tuple(map(self._map.__getitem__, other.images)))
 
     def inverse(self):
-        return Permutation(self.ground, tuple(
-            x for x, _ in sorted(zip(self.ground, self.images), key=lambda p: p[1])))
+        back = {y: x for x, y in self._map.items()}
+        return self._bijection(self.ground, tuple(map(back.__getitem__, self.ground)))
 
     def is_identity(self):
         return self.ground == self.images

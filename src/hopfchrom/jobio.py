@@ -4,12 +4,21 @@ A job file names a structure kind, the structure data, and optionally a
 character, a group (cycle strings or image maps), and a color count.
 Malformed fields raise DomainError naming the field.  Output dicts all
 carry schema "1" and go to dump as they are: exact values stay Fraction
-or Cyclo up to the encoder, which writes an integral Fraction as an int
+or Cyclo up to the writer, which writes an integral Fraction as an int
 and any other exact value as its string.
+
+dump is a small streaming writer whose bytes equal those of
+``json.dump(obj, stream, indent=1, sort_keys=True, default=_exact)``
+plus a newline.  It renders a list of leaves as one string, streams a
+container of containers one item at a time, and renders a tuple that
+recurs in one container once (the argument is in _write's docstring):
+a certificate matrix repeats a few shared row tuples, so its text costs
+one rendering per distinct row, not one json value per entry.
 """
 
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .chromatic import binomial_to_monomial, check_ground
 from .cyclotomic import Cyclo
@@ -265,18 +274,108 @@ def certificate_to_json(cert):
 
 
 def _exact(value):
-    """Encoder hook for what json cannot write: an integral Fraction
+    """What json cannot write, as a value it can: an integral Fraction
     becomes an int, any other value (a Fraction, a Cyclo) its string."""
     if isinstance(value, Fraction) and value.denominator == 1:
         return int(value)
     return str(value)
 
 
-def dump(obj, stream):
-    """Write obj as sorted, indented JSON plus a newline, streaming.
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
-    Every dict key in obj is a string and no float reaches it: a key of
-    another type would be written by json's rules, not as its str, and a
-    float as a number, not as its str."""
-    json.dump(obj, stream, indent=1, sort_keys=True, default=_exact)
+
+def _leaf(value):
+    """The JSON text of a leaf, as json writes it, or None for a list,
+    tuple or dict.  bool is tested before int; what json cannot write
+    goes through _exact and is written again."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return _NONFINITE.get(text, text)
+    if isinstance(value, (list, tuple, dict)):
+        return None
+    return _leaf(_exact(value))
+
+
+def _flat(value, nl):
+    """The whole text of value, whose line starts at the indent of nl, if
+    it is a leaf, an empty container, or a list or tuple of leaves; None
+    if it holds a container, so that it must be streamed."""
+    text = _leaf(value)
+    if text is not None:
+        return text
+    if not value:
+        return "{}" if isinstance(value, dict) else "[]"
+    if isinstance(value, dict):
+        return None
+    texts = []
+    for item in value:
+        text = _leaf(item)
+        if text is None:
+            return None
+        texts.append(text)
+    inner = nl + " "
+    return "[" + inner + ("," + inner).join(texts) + nl + "]"
+
+
+def _write(value, write, nl):
+    """Write value, whose line starts at the indent of nl: in one write
+    when _flat gives its text, else item by item (a dict in sorted key
+    order), recursing into each item that _flat cannot render.
+
+    A tuple item's text is memoised by id for as long as its container
+    is being written.  The id is stable, because the caller holds obj
+    and so every item in it; the text is the same wherever the item
+    recurs in this container, because every item of one container sits
+    at the same depth; and the memo dies with the container, so no id
+    outlives the object it names.  A certificate matrix holds each
+    distinct row as one shared tuple, so each is rendered once."""
+    text = _flat(value, nl)
+    if text is not None:
+        write(text)
+        return
+    inner = nl + " "
+    if isinstance(value, dict):
+        sep, close = "{" + inner, "}"
+        items = [(encode_basestring_ascii(k) + ": ", v) for k, v in sorted(value.items())]
+    else:
+        sep, close = "[" + inner, "]"
+        items = [("", v) for v in value]
+    memo = {}
+    for head, item in items:
+        text = memo.get(id(item))
+        if text is None:
+            text = _flat(item, inner)
+            if isinstance(item, tuple):
+                memo[id(item)] = text
+        if text is None:
+            write(sep + head)
+            _write(item, write, inner)
+        else:
+            write(sep + head + text)
+        sep = "," + inner
+    write(nl + close)
+
+
+def dump(obj, stream):
+    """Write obj as sorted, one-space-indented JSON plus a newline: the
+    bytes ``json.dump(obj, stream, indent=1, sort_keys=True,
+    default=_exact)`` and a newline would write, streamed.
+
+    Leaves are written as json writes them; a list or tuple of leaves
+    goes out in one write, and a container of containers one item at a
+    time, so no write holds more than one row of such a container (the
+    whole document, or a certificate's list of pairs, is never one
+    string).  Every dict key in obj is a string: a key of another type
+    raises TypeError."""
+    _write(obj, stream.write, "\n")
     stream.write("\n")

@@ -175,6 +175,32 @@ def test_conjugacy_classes_match_the_all_element_reference():
     assert len(symmetric(6).class_reps) == 11
 
 
+def _same_permutation(got, want):
+    assert (got, got.ground, got.images, got._map) == (want, want.ground, want.images, want._map)
+
+
+def test_unchecked_products_equal_validated_ones(monkeypatch):
+    """Products and inverses built without __post_init__'s check equal the
+    ones the validating constructor builds, _map included, on every corpus
+    group, D_n for n <= 9 and S_6 (S_6 against every 30th element); with
+    every product validated, closure and class tables come out the same."""
+    groups = ([group for _, _, _, group in corpus()] + [dihedral(n) for n in range(1, 10)]
+              + [symmetric(6)])
+    for group in groups:
+        ground = group.ground
+        for x in group.elements:
+            _same_permutation(x.inverse(), Permutation.from_mapping({x(a): a for a in ground}, ground))
+            for y in group.elements[::30 if group.order > 100 else 1]:
+                _same_permutation(x * y, Permutation(ground, tuple(x(y(a)) for a in ground)))
+    monkeypatch.setattr(Permutation, "_bijection",
+                        classmethod(lambda cls, ground, images: cls(ground, images)))
+    for group in groups:
+        checked = PermGroup(group.generators)
+        assert checked.elements == group.elements
+        assert (checked.class_reps, checked.class_sizes, checked.class_members) == (
+            group.class_reps, group.class_sizes, group.class_members)
+
+
 def test_group_order_cap():
     gens = (Permutation.from_cycles("(a b)", ABCD),
             Permutation.from_cycles("(a b c d)", ABCD))
