@@ -19,22 +19,18 @@ from .complexes import (BalancedRelativeComplex, EmbeddingCertificate,
                         check_balanced_convex, coloring_complex,
                         comparable_pairs, flag_f_vector, hilb,
                         integer_matrix_rank, theta_certificate)
-from .compositions import (Flag, IntComposition, SetComposition,
-                           alpha_of_subset, compositions_of,
-                           enumerate_set_compositions, flag_of, refines,
-                           subset_of_alpha, type_of, type_of_flag)
+from .compositions import (Flag, IntComposition, alpha_of_subset,
+                           compositions_of, refines, subset_of_alpha)
 from .cyclotomic import Cyclo
 from .errors import (DomainError, ResourceCapError, UnsupportedGroupError,
                      VerificationFailure)
 from .groups import (ClassFunction, PermGroup, Permutation,
-                     abelian_irreducibles, burnside_count, conjugacy_classes,
-                     inner_product, irreducible_multiplicities,
-                     is_effective, leq_char)
+                     abelian_irreducibles, burnside_count,
+                     irreducible_multiplicities, is_effective, leq_char)
 from .structures import (CharacterSpec, DoublePoset, Graph, Hypergraph,
                          Matroid, MixedGraph, PointCollection, Poset,
                          SimplicialComplex, automorphisms,
-                         loday_associahedron, make_double_poset, make_poset,
-                         proper_coloring)
+                         loday_associahedron, make_double_poset, make_poset)
 from .verify import run_verification
 
 __version__ = "0.1.0"
@@ -44,19 +40,18 @@ __all__ = [
     "ClassPolynomial", "ClassQSym", "Cyclo", "DomainError", "DoublePoset",
     "EmbeddingCertificate", "Flag", "Graph", "Hypergraph", "IntComposition",
     "Matroid", "MixedGraph", "PermGroup", "Permutation", "PointCollection",
-    "Poset", "ResourceCapError", "SetComposition", "SimplicialComplex",
+    "Poset", "ResourceCapError", "SimplicialComplex",
     "UnsupportedGroupError", "VerificationFailure", "abelian_irreducibles",
     "alpha_of_subset", "automorphisms", "binomial_to_monomial",
     "burnside_count", "check_balanced_convex",
     "coloring_complex", "coloring_oracle", "colorings_by_type",
     "comparable_pairs", "compositions_of",
-    "conjugacy_classes", "enumerate_set_compositions",
-    "fixed_coloring_counts", "flag_f_vector", "flag_of",
-    "hilb", "inner_product", "integer_matrix_rank",
+    "fixed_coloring_counts", "flag_f_vector",
+    "hilb", "integer_matrix_rank",
     "irreducible_multiplicities", "is_effective", "leq_char",
     "loday_associahedron", "make_double_poset", "make_poset",
-    "orbital_polynomial", "orbital_psi", "proper_coloring",
+    "orbital_polynomial", "orbital_psi",
     "proper_compositions", "psi", "psi_polynomial", "refines",
-    "run_verification", "subset_of_alpha", "theta_certificate", "type_of",
-    "type_of_flag", "verify_flawless",
+    "run_verification", "subset_of_alpha", "theta_certificate",
+    "verify_flawless",
 ]

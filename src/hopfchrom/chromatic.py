@@ -163,7 +163,8 @@ class ClassQSym:
     coeffs maps integer compositions of the degree to class functions;
     absent compositions are zero.  Engine outputs are fixed-composition
     counts, so values are nonnegative integers maximized at the identity;
-    that much is validated here."""
+    that much is validated here.  Two are equal when their degrees,
+    groups and coefficients are; a PermGroup compares by identity."""
 
     degree: int
     group: object
@@ -196,10 +197,6 @@ class ClassQSym:
 
     def identity_slice(self):
         return {alpha: cf.at_identity() for alpha, cf in self.coeffs.items()}
-
-    def __eq__(self, other):
-        return (isinstance(other, ClassQSym) and self.degree == other.degree
-                and self.group is other.group and self.coeffs == other.coeffs)
 
 
 def psi(h, char, group, max_ground=GROUND_CAP):
@@ -279,10 +276,9 @@ def fixed_qsym(group, n, groups):
     its objects, the block masks of set compositions or the member masks
     of flags.  g fixes one exactly when it maps every mask onto itself,
     so the elements fixing it are the AND of group.stabilizer_bits over
-    its masks (bit k for group.elements[k]); for a set composition that
-    is the test act(g, c) == c.  Objects are tallied by type and fixing
-    bitset, the value at g sums the tallies whose bitset holds g, and
-    class constancy is checked."""
+    its masks (bit k for group.elements[k]).  Objects are tallied by type
+    and fixing bitset, the value at g sums the tallies whose bitset holds
+    g, and class constancy is checked."""
     stable = group.stabilizer_bits
     everyone = (1 << group.order) - 1
     tallies = {}

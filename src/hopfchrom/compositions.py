@@ -1,20 +1,21 @@
-"""Integer compositions, set compositions and flags of subsets.
+"""Integer compositions, flags of subsets, and label masks.
 
 Labels are opaque strings ordered lexicographically.  An integer composition
 of d is a tuple of positive parts summing to d; compositions of d are in
 bijection with subsets of {1, ..., d-1} via partial sums.  A set composition
 of a finite ground set is an ordered sequence of disjoint nonempty blocks
-covering it.  A flag is a strictly increasing chain of proper nonempty
+covering it, and a flag a strictly increasing chain of proper nonempty
 subsets of the ground set; set compositions correspond to flags by taking
-prefix unions and dropping the full ground set.  The kernels work on
-masks instead, label i of the sorted ground set being bit i: a set
+prefix unions and dropping the full ground set.  The program holds both
+as label masks, label i of the sorted ground set being bit i: a set
 composition is the tuple of its block masks and a flag that of its member
-masks, and mask_labels turns a mask back into its labels.
+masks, and mask_labels turns a mask back into its labels.  Flag, a chain
+of label tuples, is how a caller hands the faces of a complex to
+complexes.BalancedRelativeComplex.
 
 Canonical text forms, used in JSON and error messages:
 
     integer composition   "2,2"
-    set composition       "a,c|b,d"      (labels sorted inside blocks)
     flag                  "{a,c}<{a,b,c}"  (empty flag is "")
 """
 
@@ -58,42 +59,6 @@ class IntComposition:
 
 
 @dataclass(frozen=True, order=True)
-class SetComposition:
-    """Ordered disjoint nonempty blocks; each block a tuple of sorted labels."""
-
-    blocks: tuple
-
-    def __post_init__(self):
-        blocks = tuple(tuple(sorted(b)) for b in self.blocks)
-        object.__setattr__(self, "blocks", blocks)
-        seen = set()
-        for b in blocks:
-            if len(b) == 0:
-                raise DomainError("set composition blocks must be nonempty")
-            for x in b:
-                if x in seen:
-                    raise DomainError("label %r appears in two blocks" % (x,))
-                seen.add(x)
-
-    @property
-    def ground(self):
-        return tuple(sorted(x for b in self.blocks for x in b))
-
-    @property
-    def length(self):
-        return len(self.blocks)
-
-    def __str__(self):
-        return "|".join(",".join(b) for b in self.blocks)
-
-    @classmethod
-    def parse(cls, text):
-        if not text:
-            raise DomainError("empty set composition text")
-        return cls(tuple(tuple(piece.split(",")) for piece in text.split("|")))
-
-
-@dataclass(frozen=True, order=True)
 class Flag:
     """Strictly increasing chain of proper nonempty subsets of ground.
 
@@ -129,18 +94,6 @@ class Flag:
 
     def __str__(self):
         return "<".join("{%s}" % ",".join(s) for s in self.chain)
-
-    @classmethod
-    def parse(cls, text, ground):
-        if text == "":
-            return cls(tuple(ground), ())
-        chain = []
-        for piece in text.split("<"):
-            piece = piece.strip()
-            if not (piece.startswith("{") and piece.endswith("}")):
-                raise DomainError("flag member %r is not of the form {a,b}" % (piece,))
-            chain.append(tuple(piece[1:-1].split(",")))
-        return cls(tuple(ground), tuple(chain))
 
 
 def alpha_of_subset(subset, d):
@@ -187,33 +140,6 @@ def refines(alpha, beta):
     return subset_of_alpha(alpha) <= subset_of_alpha(beta)
 
 
-def type_of(comp):
-    """Block sizes of a set composition, as an integer composition."""
-    return IntComposition(tuple(len(b) for b in comp.blocks))
-
-
-def enumerate_set_compositions(ground):
-    """All set compositions of ground, sorted by length then block strings.
-
-    The number of results is the ordered Bell number of |ground|.
-    """
-    ground = tuple(sorted(ground))
-    out = []
-
-    def rec(remaining, prefix):
-        if not remaining:
-            out.append(SetComposition(tuple(prefix)))
-            return
-        rest = tuple(sorted(remaining))
-        for k in range(1, len(rest) + 1):
-            for block in combinations(rest, k):
-                rec(remaining - set(block), prefix + [block])
-
-    if ground:
-        rec(set(ground), [])
-    return sorted(out, key=lambda c: (c.length, c.blocks))
-
-
 def mask_labels(ground):
     """labels[m]: the labels of the bits of mask m, in sorted order; ground
     is sorted, and its label i is bit i."""
@@ -230,47 +156,3 @@ def submasks(R):
     while S:
         yield S
         S = (S - 1) & R
-
-
-def act(g, comp):
-    """Apply a permutation of the ground set blockwise: g(C1)|g(C2)|..."""
-    return SetComposition(tuple(tuple(g(x) for x in b) for b in comp.blocks))
-
-
-def act_flag(g, flag):
-    """Apply a permutation memberwise to a flag."""
-    return Flag(tuple(g(x) for x in flag.ground),
-                tuple(tuple(g(x) for x in s) for s in flag.chain))
-
-
-def flag_of(comp):
-    """Prefix unions of a set composition, the full ground set dropped.
-
-    The one-block composition maps to the empty flag.
-    """
-    chain = []
-    acc = []
-    for b in comp.blocks[:-1]:
-        acc.extend(b)
-        chain.append(tuple(sorted(acc)))
-    return Flag(comp.ground, tuple(chain))
-
-
-def composition_of(flag):
-    """Inverse of flag_of: successive differences of the chain."""
-    blocks = []
-    prev = set()
-    for s in flag.chain:
-        blocks.append(tuple(sorted(set(s) - prev)))
-        prev = set(s)
-    blocks.append(tuple(sorted(set(flag.ground) - prev)))
-    return SetComposition(tuple(blocks))
-
-
-def type_of_flag(flag):
-    """Integer composition attached to a flag via its member sizes.
-
-    This is alpha_of_subset(kappa, |ground|); the empty flag gives the
-    one-part composition (|ground|,).
-    """
-    return alpha_of_subset(set(flag.kappa), len(flag.ground))

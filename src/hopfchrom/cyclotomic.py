@@ -1,10 +1,14 @@
-"""Exact arithmetic in cyclotomic fields, power-basis representation.
+"""Exact cyclotomic values, power-basis representation.
 
 A value of order m is a rational polynomial in zeta_m = exp(2*pi*i/m),
 stored on the power basis 1, zeta, ..., zeta^(phi(m)-1) and kept reduced
-modulo the m-th cyclotomic polynomial.  Just enough field arithmetic for
-character theory of small abelian groups: add, multiply, conjugate, and
-decide rationality.  No floating point anywhere.
+modulo the m-th cyclotomic polynomial.  The program computes characters
+as integer exponent rows and multiplicities by reduce_mod_cyclotomic
+(see groups), so a Cyclo is only the printed value of a character or of
+an irrational multiplicity: it is built reduced, compares, hashes,
+decides rationality and prints, and does no field arithmetic.  The
+field operations live in the tests, as the reference the exponent route
+is checked against.  No floating point anywhere.
 """
 
 from dataclasses import dataclass
@@ -86,63 +90,6 @@ class Cyclo:
         e[k % m] = Fraction(1)
         return cls(m, tuple(e))
 
-    @classmethod
-    def from_rational(cls, m, value):
-        return cls(m, (Fraction(value),))
-
-    def _coerce(self, other):
-        if isinstance(other, Cyclo):
-            if other.order != self.order:
-                if other.is_rational():
-                    return Cyclo.from_rational(self.order, other.rational_value())
-                raise DomainError("mixed cyclotomic orders %d and %d" % (self.order, other.order))
-            return other
-        if isinstance(other, (int, Fraction)):
-            return Cyclo.from_rational(self.order, other)
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return Cyclo(self.order, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Cyclo(self.order, tuple(-a for a in self.coeffs))
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        prod = [Fraction(0)] * (len(self.coeffs) + len(o.coeffs) - 1 or 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(o.coeffs):
-                    if b:
-                        prod[i + j] += a * b
-        return Cyclo(self.order, tuple(prod))
-
-    __rmul__ = __mul__
-
-    def conjugate(self):
-        """Complex conjugation, zeta -> zeta^(m-1)."""
-        m = self.order
-        full = [Fraction(0)] * m
-        for j, c in enumerate(self.coeffs):
-            full[(m - j) % m] += c
-        return Cyclo(m, tuple(full))
-
     def is_rational(self):
         return all(c == 0 for c in self.coeffs[1:])
 
@@ -190,9 +137,3 @@ class Cyclo:
             return "Cyclo(%s)" % (self.rational_value(),)
         return "Cyclo(z%d: %s)" % (self.order, list(self.coeffs))
 
-
-def conj(value):
-    """Complex conjugate of an int, Fraction, or Cyclo."""
-    if isinstance(value, Cyclo):
-        return value.conjugate()
-    return value

@@ -19,16 +19,17 @@ is implemented for abelian groups, whose irreducible characters are exactly
 the homomorphisms into roots of unity.  For nonabelian groups those
 operations raise UnsupportedGroupError rather than silently approximating.
 
-Each irreducible character of an abelian group of exponent m is kept as a
-row of integer exponents e with chi(g) = zeta_m^e(g), found by adding
-generator exponents mod m along the BFS tree.  A multiplicity
-<chi, theta> sums size * zeta^-e * theta over the classes; every term is
-a power of zeta times a rational, so the sum is collected in m rational
-buckets indexed by the power mod m and reduced once modulo the m-th
-cyclotomic polynomial.  Reduction is a ring homomorphism from
-Q[x]/(x^m - 1) onto Q(zeta_m), so this equals the Cyclo inner product
-term for term; ``inner_product`` keeps the Cyclo route for general class
-functions and for ``burnside_count``.
+Each irreducible character of an abelian group of exponent m is kept by
+the group as a row of integer exponents e with chi(g) = zeta_m^e(g),
+found by adding generator exponents mod m along the BFS tree; its Cyclo
+values are only what a character prints as.  A multiplicity <chi, theta>
+sums size * zeta^-e * theta over the classes; every term is a power of
+zeta times a rational, so the sum is collected in m rational buckets
+indexed by the power mod m and reduced once modulo the m-th cyclotomic
+polynomial.  Reduction is a ring homomorphism from Q[x]/(x^m - 1) onto
+Q(zeta_m), so this equals the inner product in the cyclotomic field
+term for term; that field route is the reference in the tests.
+burnside_count averages integer counts, so it needs no field at all.
 """
 
 from dataclasses import dataclass, field
@@ -37,7 +38,7 @@ from functools import cached_property
 from itertools import product
 from math import lcm
 
-from .cyclotomic import Cyclo, conj, reduce_mod_cyclotomic
+from .cyclotomic import Cyclo, reduce_mod_cyclotomic
 from .errors import DomainError, ResourceCapError, UnsupportedGroupError, VerificationFailure
 
 GROUP_ORDER_CAP = 10080
@@ -252,9 +253,6 @@ class PermGroup:
         self.class_sizes = tuple(sizes)
         self.class_members = tuple(members)
         self._class_index = {x: assigned[i] for i, x in enumerate(elements)}
-        # filled by abelian_irreducibles: the characters and their exponent rows
-        self._irreducibles = None
-        self._character_exponents = None
 
     @property
     def order(self):
@@ -274,6 +272,21 @@ class PermGroup:
                     stable[m] |= 1 << k
         return tuple(stable)
 
+    @cached_property
+    def character_exponents(self):
+        """(m, rows) for an abelian group: its exponent m and, per
+        irreducible character chi and in class order, the exponents e with
+        chi = zeta_m^e (see _search_irreducibles).  Searched once per
+        group; a nonabelian group raises UnsupportedGroupError."""
+        return _search_irreducibles(self)
+
+    @cached_property
+    def irreducibles(self):
+        """The irreducible characters of an abelian group, as class
+        functions of Cyclo roots, one per exponent row."""
+        m, rows = self.character_exponents
+        return tuple(ClassFunction(self, tuple(Cyclo.root(m, e) for e in row)) for row in rows)
+
     def class_of(self, g):
         try:
             return self._class_index[g]
@@ -285,11 +298,6 @@ class PermGroup:
 
     def exponent(self):
         return lcm(*(x.order() for x in self.elements)) if self.elements else 1
-
-
-def conjugacy_classes(group):
-    """The (representative, size) pairs in canonical class order."""
-    return list(zip(group.class_reps, group.class_sizes))
 
 
 @dataclass(frozen=True)
@@ -319,11 +327,6 @@ class ClassFunction:
     @classmethod
     def constant(cls, group, value):
         return cls(group, tuple(value for _ in group.class_reps))
-
-    @classmethod
-    def regular(cls, group):
-        return cls(group, tuple(
-            group.order if rep.is_identity() else 0 for rep in group.class_reps))
 
     def __call__(self, g):
         return self.values[self.group.class_of(g)]
@@ -368,21 +371,14 @@ def _as_exact(v):
     return v
 
 
-def inner_product(chi, psi):
-    """(1/|G|) * sum over classes of size * conj(chi) * psi, exactly."""
-    if chi.group is not psi.group:
-        raise DomainError("class functions live on different groups")
-    group = chi.group
-    total = 0
-    for size, a, b in zip(group.class_sizes, chi.values, psi.values):
-        total = total + size * conj(a) * b
-    return _as_exact(total * Fraction(1, group.order))
-
-
 def burnside_count(cf):
-    """Average of a fixed-point count vector; asserts the result is a
-    nonnegative integer, as it must be for any genuine action."""
-    v = inner_product(ClassFunction.constant(cf.group, 1), cf)
+    """Average of a fixed-point count vector, the sum of size * value over
+    the classes divided by |G|; asserts the result is a nonnegative
+    integer, as it must be for any genuine action.  The counts are
+    rational, so the average is one Fraction."""
+    group = cf.group
+    v = _as_exact(Fraction(sum(size * value for size, value in zip(group.class_sizes, cf.values)),
+                           group.order))
     if not isinstance(v, int) or v < 0:
         raise VerificationFailure(
             "orbit count %s is not a nonnegative integer" % (v,),
@@ -396,18 +392,12 @@ def abelian_irreducibles(group):
 
     Deterministic order: generator-exponent assignments are tried
     lexicographically and each new character is kept at first occurrence,
-    so the trivial character always comes first.  The search runs once per
-    group and its result is kept on the group, both as the characters and
-    as their exponent rows (``group._character_exponents``: m and, per
-    character, the exponents e with chi = zeta_m^e, one per class); every
-    call returns a fresh list of the (immutable) characters.
+    so the trivial character always comes first.  The group searches once
+    and keeps the characters (PermGroup.irreducibles) and their exponent
+    rows (PermGroup.character_exponents); every call returns a fresh list
+    of the (immutable) characters.
     """
-    if group._irreducibles is None:
-        m, rows = _search_irreducibles(group)
-        group._character_exponents = (m, rows)
-        group._irreducibles = tuple(
-            ClassFunction(group, tuple(Cyclo.root(m, e) for e in row)) for row in rows)
-    return list(group._irreducibles)
+    return list(group.irreducibles)
 
 
 def _search_irreducibles(group):
@@ -452,7 +442,7 @@ def _search_irreducibles(group):
 def irreducible_multiplicities(theta):
     """Multiplicity of each irreducible in a class function (abelian only).
 
-    Equal to ``inner_product(chi, theta)`` for every character, computed
+    Equal to the inner product <chi, theta> for every character, computed
     from the exponent rows: conj(zeta^e) = zeta^-e, so the sum over classes
     of size * conj(chi) * theta is a polynomial in zeta = zeta_m whose
     coefficient of x^k collects size * theta where -e (plus the power of a
@@ -463,7 +453,7 @@ def irreducible_multiplicities(theta):
     is not rational."""
     group = theta.group
     chars = abelian_irreducibles(group)
-    m, rows = group._character_exponents
+    m, rows = group.character_exponents
     terms = [[(k, size * c) for k, c in _power_terms(v, m)]
              for size, v in zip(group.class_sizes, theta.values)]
     out = []

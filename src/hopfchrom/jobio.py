@@ -17,6 +17,7 @@ one rendering per distinct row, not one json value per entry.
 """
 
 import json
+import re
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
@@ -80,6 +81,30 @@ def _pairs(raw, field):
     return out
 
 
+# The most digits a coordinate's numerator or denominator may have: the
+# limit int() puts on a decimal string, and so on a JSON integer.
+COORDINATE_DIGITS = 4300
+_EXPONENT = re.compile(r"\s*[-+]?([\d_]*)(?:\.([\d_]*))?[eE]([-+]?\d[\d_]*)\s*")
+
+
+def _coordinate(text):
+    """The Fraction of a coordinate's text.  Fraction reads the digits of
+    a numerator or denominator through int(), which refuses more than
+    COORDINATE_DIGITS of them, but then multiplies by 10 ** exponent
+    unbounded.  So in exponent notation the numerator Fraction would
+    build, the significant digits times 10 ** exponent, and the
+    denominator, 10 ** (fraction digits - exponent), are bounded first,
+    before any integer is built."""
+    m = _EXPONENT.fullmatch(text)
+    if m:
+        whole, frac, exp = (g.replace("_", "") for g in m.groups(""))
+        exp = int(exp)
+        if max(len((whole + frac).lstrip("0")) + exp,
+               len(frac) + 1 - exp) > COORDINATE_DIGITS:
+            raise ValueError("a coordinate has more than %d digits" % COORDINATE_DIGITS)
+    return Fraction(text)
+
+
 def parse_structure(kind, obj, max_ground=None):
     """The structure of kind in obj.  With max_ground, a ground of more
     distinct labels is refused (ResourceCapError) before any other field
@@ -116,7 +141,7 @@ def parse_structure(kind, obj, max_ground=None):
                 raise DomainError("points[%d] has %d coordinates, ground has %d"
                                   % (i, len(row), len(given)))
             try:
-                vals = [Fraction(str(c)) for c in row]
+                vals = [_coordinate(str(c)) for c in row]
             except (ValueError, ZeroDivisionError) as exc:
                 raise DomainError("points[%d]: %s" % (i, exc))
             points.append(tuple(vals[order[v]] for v in ground))

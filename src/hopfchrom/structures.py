@@ -71,14 +71,20 @@ def _items(ground, field, raw):
     """The items of field over ground, frozen by its SHAPES entry.  An
     item of the wrong shape or with a label outside the ground is bad; the
     smallest bad item in sorted label order is refused with the field's
-    text."""
+    text.  Then the smallest item that repeats a label is refused: that is
+    tested on the item as given, since freezing it into a set would
+    collapse ("a", "a") into {"a"}."""
     freeze, size, text = SHAPES[field]
-    items, labels = frozenset(map(freeze, raw)), set(ground)
+    raw, labels = [tuple(item) for item in raw], set(ground)
+    items = frozenset(map(freeze, raw))
     bad = [item if freeze is tuple else sorted(item) for item in items
            if not labels >= set(item) or len(set(item)) != len(item)
            or size not in (None, len(item))]
     if bad:
         raise DomainError(text % (min(bad),))
+    repeats = [sorted(item) for item in raw if len(set(item)) != len(item)]
+    if repeats:
+        raise DomainError("%s item %r repeats a label" % (field, min(repeats)))
     return items
 
 
@@ -240,7 +246,8 @@ def make_double_poset(ground, relations1, relations2):
 
 @dataclass(frozen=True)
 class Hypergraph:
-    """Edge multiset; edges may repeat and have any size >= 1."""
+    """Edge multiset; edges may repeat and have any size >= 1, but an
+    edge that repeats a label is refused, not collapsed."""
 
     kind = "hypergraph"
     ground: tuple
@@ -248,11 +255,11 @@ class Hypergraph:
 
     def __post_init__(self):
         object.__setattr__(self, "ground", _norm_ground(self.ground))
-        edges = tuple(sorted(tuple(sorted(set(e))) for e in self.edges))
+        edges = tuple(sorted(tuple(sorted(e)) for e in self.edges))
         object.__setattr__(self, "edges", edges)
         gset = set(self.ground)
         for e in edges:
-            if len(e) == 0 or not set(e) <= gset:
+            if len(e) == 0 or len(set(e)) != len(e) or not set(e) <= gset:
                 raise DomainError("bad hyperedge %r" % (e,))
 
 
@@ -576,12 +583,6 @@ def coloring_test(h, char):
     if h.kind == "gen_permutohedron":
         return lambda c: _unique_argmax(h.integer_points, c)
     raise AssertionError("unhandled kind %s" % h.kind)
-
-
-def proper_coloring(h, char, f):
-    """Direct properness test of a coloring f (a map label -> integer);
-    the dict form of coloring_test."""
-    return coloring_test(h, char)(tuple(f[x] for x in h.ground))
 
 
 def _unique_min_basis(bases, c):

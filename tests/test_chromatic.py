@@ -10,13 +10,13 @@ from hopfchrom.chromatic import (binomial_to_monomial, coloring_oracle,
                                  proper_compositions, psi, psi_polynomial,
                                  verify_flawless)
 from hopfchrom import chromatic, structures
-from hopfchrom.compositions import (IntComposition, SetComposition,
-                                    enumerate_set_compositions, type_of)
+from hopfchrom.compositions import IntComposition
 from hopfchrom.errors import DomainError, ResourceCapError
 from hopfchrom.groups import ClassFunction, PermGroup, Permutation
 from hopfchrom.randgen import corpus
 from hopfchrom.structures import (CharacterSpec, Graph, _unique_argmax,
                                   check_compatible, coloring_test)
+from label_reference import SetComposition, enumerate_set_compositions, type_of
 from test_kernel import set_compositions
 
 C = IntComposition.parse

@@ -13,15 +13,14 @@ from hopfchrom.chromatic import ClassQSym
 from hopfchrom.complexes import (BalancedRelativeComplex, coloring_complex,
                                  comparable_pairs, complex_automorphism_check,
                                  hilb, theta_certificate)
-from hopfchrom.compositions import (Flag, act_flag, alpha_of_subset, compositions_of,
-                                    enumerate_set_compositions, flag_of,
-                                    subset_of_alpha)
+from hopfchrom.compositions import Flag, alpha_of_subset, compositions_of, subset_of_alpha
 from hopfchrom.errors import DomainError
 from hopfchrom.groups import ClassFunction, PermGroup, Permutation
 from hopfchrom.jobio import flags_to_json
 from hopfchrom.randgen import corpus
 from hopfchrom.structures import CharacterSpec, Graph
 from hopfchrom.verify import run_verification
+from label_reference import act_flag, enumerate_set_compositions, flag_of
 from test_kernel import set_compositions
 
 CORPUS = corpus()

@@ -2,15 +2,16 @@ from fractions import Fraction
 
 import pytest
 
-from hopfchrom.cyclotomic import Cyclo, cyclotomic_polynomial
+from hopfchrom import groups
+from hopfchrom.cyclotomic import cyclotomic_polynomial
 from hopfchrom.errors import (DomainError, ResourceCapError,
                               UnsupportedGroupError, VerificationFailure)
 from hopfchrom.groups import (ClassFunction, PermGroup, Permutation,
                               abelian_irreducibles, burnside_count,
-                              conjugacy_classes, inner_product,
                               irreducible_multiplicities, is_effective,
                               leq_char)
 from hopfchrom.randgen import corpus
+from cyclo_reference import FieldCyclo, inner_product
 
 ABCD = ("a", "b", "c", "d")
 
@@ -25,24 +26,24 @@ def test_cyclotomic_polynomials():
 
 
 def test_cyclo_arithmetic():
-    i = Cyclo.root(4, 1)
+    i = FieldCyclo.root(4, 1)
     assert i * i == -1
     assert (i + i.conjugate()).is_rational()
     assert i + i.conjugate() == 0
     assert i * i.conjugate() == 1
-    z = Cyclo.root(3, 1)
+    z = FieldCyclo.root(3, 1)
     assert z * z * z == 1
     assert z + z * z == -1
     assert (z - z).is_zero()
 
 
 def test_cyclo_rational_interop():
-    half = Cyclo.from_rational(4, Fraction(1, 2))
+    half = FieldCyclo.from_rational(4, Fraction(1, 2))
     assert half + half == 1
     assert half == Fraction(1, 2)
     assert hash(half) == hash(Fraction(1, 2))
     with pytest.raises(DomainError):
-        Cyclo.root(4, 1) + Cyclo.root(3, 1)
+        FieldCyclo.root(4, 1) + FieldCyclo.root(3, 1)
 
 
 def test_permutation_basics():
@@ -89,7 +90,7 @@ def test_symmetric_group_classes():
     assert s3.order == 6
     assert not s3.is_abelian()
     assert sorted(s3.class_sizes) == [1, 2, 3]
-    assert len(conjugacy_classes(s3)) == 3
+    assert len(s3.class_reps) == 3
 
 
 def _image_table(ground, g):
@@ -234,14 +235,14 @@ def test_class_zero_is_the_identity():
 def test_inner_product_and_burnside():
     r = Permutation.from_cycles("(a b d c)", ABCD)
     g4 = PermGroup((r,))
-    reg = ClassFunction.regular(g4)
+    reg = ClassFunction(g4, (4, 0, 0, 0))
     triv = ClassFunction.constant(g4, 1)
     assert inner_product(triv, reg) == 1
     assert burnside_count(reg) == 1
     # 84, 0, 12, 0 fixed colorings: 24 orbits
     counts = ClassFunction(g4, (84, 0, 12, 0))
-    assert burnside_count(counts) == 24
-    with pytest.raises(VerificationFailure):
+    assert burnside_count(counts) == 24 == inner_product(triv, counts)
+    with pytest.raises(VerificationFailure, match="orbit count 1/4 is not"):
         burnside_count(ClassFunction(g4, (1, 0, 0, 0)))
 
 
@@ -281,6 +282,19 @@ def test_abelian_irreducibles_are_cached_per_group():
         chi.values for chi in again]
 
 
+def test_the_group_searches_its_characters_once(monkeypatch):
+    """PermGroup keeps its characters and their exponent rows: one search
+    serves every abelian_irreducibles and irreducible_multiplicities call."""
+    calls, search = [], groups._search_irreducibles
+    monkeypatch.setattr(groups, "_search_irreducibles", lambda g: calls.append(g) or search(g))
+    g4 = PermGroup((Permutation.from_cycles("(a b d c)", ABCD),))
+    chars = abelian_irreducibles(g4)
+    assert [m for _, m in irreducible_multiplicities(ClassFunction(g4, (4, 0, 0, 0)))] == [1] * 4
+    assert abelian_irreducibles(g4) == chars and calls == [g4]
+    assert g4.irreducibles is g4.irreducibles
+    assert g4.character_exponents == (4, ((0, 0, 0, 0), (0, 1, 2, 3), (0, 2, 0, 2), (0, 3, 2, 1)))
+
+
 def test_abelian_only():
     s3 = PermGroup((Permutation.from_cycles("(a b)", ("a", "b", "c")),
                     Permutation.from_cycles("(a b c)", ("a", "b", "c"))))
@@ -294,7 +308,7 @@ def test_abelian_only():
 def test_effective_and_leq():
     r = Permutation.from_cycles("(a b d c)", ABCD)
     g4 = PermGroup((r,))
-    reg = ClassFunction.regular(g4)
+    reg = ClassFunction(g4, (4, 0, 0, 0))
     ok, details = is_effective(reg)
     assert ok and details == {}
     assert all(m == 1 for _, m in irreducible_multiplicities(reg))

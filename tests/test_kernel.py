@@ -13,14 +13,13 @@ import pytest
 from hopfchrom import chromatic
 from hopfchrom.chromatic import (coloring_oracle, fixed_qsym,
                                  proper_compositions, psi)
-from hopfchrom.compositions import (SetComposition, act,
-                                    enumerate_set_compositions, mask_labels,
-                                    type_of)
+from hopfchrom.compositions import mask_labels
 from hopfchrom.errors import ResourceCapError
 from hopfchrom.groups import ClassFunction
 from hopfchrom.randgen import GENERATORS, corpus
 from hopfchrom.structures import (CharacterSpec, Graph, Matroid,
                                   PointCollection, _unique_argmax)
+from label_reference import SetComposition, act, enumerate_set_compositions, type_of
 from minor_reference import contract, restrict
 from peel_reference import _points_proper, proper_composition
 from test_groups import dihedral

@@ -1,4 +1,5 @@
-"""Refusals of the six splitting kinds and of over-cap jobs.
+"""Refusals of the six splitting kinds, of over-cap jobs and of huge
+coordinates.
 
 The label-mask checks of structures (one normalizer over SHAPES, one
 order closure, basis exchange over masks) against the former checks in
@@ -6,14 +7,17 @@ structure_reference, on random relations (cyclic, not closed, closed)
 and random base families (matroids and not); the exact text of every
 refusal, which names the smallest offender in sorted label order; the
 bad-input jobs of the command line under three hash seeds, whose stderr
-must not differ; and over-cap jobs, which exit 3 before any structure or
-group is built."""
+must not differ; over-cap jobs, which exit 3 before any structure or
+group is built; and point coordinates whose exponent would build an
+integer of millions of digits, which exit 2 before any is built."""
 
 import json
 import os
 import random
 import subprocess
 import sys
+import time
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -21,9 +25,9 @@ import pytest
 from hopfchrom import jobio, randgen
 from hopfchrom.cli import main
 from hopfchrom.errors import DomainError
-from hopfchrom.structures import (DoublePoset, Graph, Matroid, MixedGraph,
-                                  Poset, SimplicialComplex, make_double_poset,
-                                  make_poset)
+from hopfchrom.structures import (DoublePoset, Graph, Hypergraph, Matroid,
+                                  MixedGraph, Poset, SimplicialComplex,
+                                  make_double_poset, make_poset)
 from structure_reference import (dfs_arcs, fixpoint_make_poset,
                                  frozenset_exchange, pair_scan_poset)
 
@@ -81,6 +85,17 @@ OVER_CAP_JOBS = {
     "edgeless20_z2_10": {"kind": "graph", "vertices": TWENTY, "edges": [],
                          "group": ["(%s %s)" % (TWENTY[i], TWENTY[i + 1])
                                    for i in range(0, 20, 2)]},
+}
+
+
+# Point collections with a coordinate of 12 bytes whose numerator or
+# denominator would have ten million digits; Fraction alone takes seconds
+# to build one.
+HUGE_COORDINATE_JOBS = {
+    "huge_numerator": {"kind": "gen_permutohedron", "ground": ["a", "b"],
+                       "points": [["1e10000000", "0"], ["0", "1"]]},
+    "huge_denominator": {"kind": "gen_permutohedron", "ground": ["a", "b"],
+                         "points": [["0", "1"], [1, "1e-10000000"]]},
 }
 
 
@@ -260,6 +275,19 @@ ABC, ABCD = tuple("abc"), tuple("abcd")
      "order relation is not transitively closed at ('a', 'c')"),
     (lambda: SimplicialComplex(("a", "b"), [("b", "z"), ("a", "y", "x")]),
      "face ['a', 'x', 'y'] is not a subset of the ground set"),
+    # an item that repeats a label is refused, not collapsed into a set
+    (lambda: Matroid(ABC, [("a", "a"), ("b",)]), "bases item ['a', 'a'] repeats a label"),
+    (lambda: Matroid(ABC, [("c", "b", "c"), ("b", "a", "a"), ("a", "b")]),
+     "bases item ['a', 'a', 'b'] repeats a label"),
+    (lambda: SimplicialComplex(("a", "b"), [("a", "a", "b")]),
+     "faces item ['a', 'a', 'b'] repeats a label"),
+    (lambda: Graph(ABC, [("c", "b", "c"), ("a", "b", "a")]),
+     "edges item ['a', 'a', 'b'] repeats a label"),
+    (lambda: MixedGraph(ABC, [("b", "c", "b")], []),
+     "undirected item ['b', 'b', 'c'] repeats a label"),
+    (lambda: Hypergraph(ABC, [("a", "a"), ("b", "c")]), "bad hyperedge ('a', 'a')"),
+    (lambda: Hypergraph(ABC, [("c", "c", "b"), ("b", "x"), ("a", "b", "b")]),
+     "bad hyperedge ('a', 'b', 'b')"),
 ])
 def test_refusal_names_the_smallest_offender(build, message):
     with pytest.raises(DomainError) as info:
@@ -340,3 +368,37 @@ def test_ground_at_the_cap_is_read_as_before(tmp_path, capsys):
                                        "bases": [["a"]]}})["m"]
     assert main(["psi", "--input", path, "--max-ground", "2"]) == 2
     assert json.loads(capsys.readouterr().err)["message"] == "ground set has repeated labels"
+
+
+# ---------------------------------------------------------------------------
+# coordinates bounded by their digits before any Fraction is built
+
+
+def test_huge_coordinate_exits_2_in_a_fresh_process(tmp_path):
+    """psi on a two-point job with a coordinate of 10^7 digits exits 2,
+    naming the point, within 2 s of starting a fresh interpreter."""
+    paths = write_jobs(tmp_path, HUGE_COORDINATE_JOBS, character="vertex_generic")
+    for name, index in (("huge_numerator", 0), ("huge_denominator", 1)):
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-m", "hopfchrom.cli", "psi", "--input",
+                               paths[name]], capture_output=True, timeout=2)
+        assert proc.returncode == 2, (name, proc.stderr)
+        assert json.loads(proc.stderr)["message"] == (
+            "points[%d]: a coordinate has more than 4300 digits" % index)
+        assert time.perf_counter() - start < 2, name
+
+
+@pytest.mark.parametrize("text, numerator, denominator", [
+    ("1e4299", 10 ** 4299, 1), ("-1E-4299", -1, 10 ** 4299), ("0.5e4299", 5 * 10 ** 4298, 1),
+    ("0e4300", 0, 1), ("1_0.2_5e-2", 41, 400), (" 2.5e+1 ", 25, 1), (1e300, 10 ** 300, 1),
+])
+def test_coordinates_within_the_digit_bound_are_read_exactly(text, numerator, denominator):
+    h = jobio.parse_structure("gen_permutohedron", {"ground": ["a"], "points": [[text]]})
+    assert h.points == ((Fraction(numerator, denominator),),)
+
+
+@pytest.mark.parametrize("text", ["1e4300", "1e-4300", "0.05e4302", "0e1000000000",
+                                  "1.0e-4299", "1e" + "9" * 30])
+def test_coordinates_past_the_digit_bound_are_refused(text):
+    with pytest.raises(DomainError, match=r"^points\[0\]: a coordinate has more than 4300 digits$"):
+        jobio.parse_structure("gen_permutohedron", {"ground": ["a"], "points": [[text]]})

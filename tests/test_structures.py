@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 
 from hopfchrom import randgen
-from hopfchrom.compositions import SetComposition
 from hopfchrom.errors import DomainError
 from hopfchrom.groups import Permutation
 from hopfchrom.structures import (CharacterSpec, DoublePoset, Graph,
@@ -11,8 +10,9 @@ from hopfchrom.structures import (CharacterSpec, DoublePoset, Graph,
                                   PointCollection, SimplicialComplex,
                                   SplittingMemo, automorphism_check,
                                   automorphisms, check_compatible,
-                                  loday_associahedron, make_double_poset,
-                                  make_poset, proper_coloring)
+                                  coloring_test, loday_associahedron,
+                                  make_double_poset, make_poset)
+from label_reference import SetComposition
 from minor_reference import char_value, contract, restrict
 from peel_reference import proper_composition, split_is_zero
 
@@ -197,16 +197,15 @@ def test_character_spec_parse():
 
 
 def test_proper_coloring_predicates():
-    g = _graph(("a", "b"))
-    assert proper_coloring(g, CharacterSpec("chromatic"),
-                           {"a": 1, "b": 2, "c": 1, "d": 1})
-    assert not proper_coloring(g, CharacterSpec("chromatic"),
-                               {"a": 1, "b": 1, "c": 2, "d": 2})
+    """coloring_test on color tuples, c[i] coloring the i-th sorted label."""
+    proper = coloring_test(_graph(("a", "b")), CharacterSpec("chromatic"))
+    assert proper((1, 2, 1, 1))
+    assert not proper((1, 1, 2, 2))
     p = make_poset(("a", "b"), [("a", "b")])
-    assert proper_coloring(p, CharacterSpec("chromatic"), {"a": 1, "b": 2})
-    assert not proper_coloring(p, CharacterSpec("chromatic"), {"a": 2, "b": 1})
-    assert proper_coloring(p, CharacterSpec("zeta"), {"a": 1, "b": 1})
-    assert not proper_coloring(p, CharacterSpec("zeta"), {"a": 2, "b": 1})
+    assert coloring_test(p, CharacterSpec("chromatic"))((1, 2))
+    assert not coloring_test(p, CharacterSpec("chromatic"))((2, 1))
+    assert coloring_test(p, CharacterSpec("zeta"))((1, 1))
+    assert not coloring_test(p, CharacterSpec("zeta"))((2, 1))
 
 
 def test_automorphism_check_and_enumeration():
