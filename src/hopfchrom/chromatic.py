@@ -55,8 +55,8 @@ from operator import itemgetter
 from .compositions import IntComposition, submasks
 from .errors import DomainError, ResourceCapError
 from .groups import ClassFunction, burnside_count, leq_char
-from .structures import (automorphism_check, check_compatible, coloring_test,
-                         splitting_memo)
+from .structures import (_one_best, automorphism_check, check_compatible,
+                         coloring_test, splitting_memo)
 
 GROUND_CAP = 9
 ORACLE_GROUND_CAP = 8
@@ -151,8 +151,7 @@ def _points_filter(h, found):
         for S in reversed(c):
             acc |= S
             suffixes.append(sums[acc])
-        scores = list(map(sum, zip(*suffixes)))
-        if scores.count(max(scores)) == 1:
+        if _one_best(list(map(sum, zip(*suffixes)))):
             yield c
 
 
@@ -235,7 +234,7 @@ def psi(h, char, group, max_ground=GROUND_CAP):
     check_ground(n, max_ground)
     table = _next_blocks(h, char)
     stable = group.stabilizer_bits
-    per_class = [_fixed_types(table, stable, group.elements.index(rep))
+    per_class = [_fixed_types(table, stable, group._elem_index[rep])
                  for rep in group.class_reps]
     return ClassQSym(n, group, {
         IntComposition(parts): ClassFunction(group, tuple(f.get(parts, 0) for f in per_class))
@@ -342,20 +341,18 @@ def orbit_f_vector(degree, orb):
 
 
 def binomial_to_monomial(fvec):
-    """Convert sum f_i*C(x,i) to ascending monomial coefficients (exact)."""
+    """Convert sum f_i*C(x,i) to ascending monomial coefficients (exact).
+    C(x, i) is the falling factorial x(x-1)...(x-i+1) over i!, and both
+    extend those of i - 1 by one factor, so each is built once."""
     coeffs = [Fraction(0)] * len(fvec)
+    poly, fact = [1], 1
     for i, fi in enumerate(fvec):
-        if fi == 0:
-            continue
-        # falling factorial x(x-1)...(x-i+1) / i!
-        poly = [Fraction(1)]
-        for j in range(i):
-            poly = [a - j * b for a, b in zip([Fraction(0)] + poly, poly + [Fraction(0)])]
-        fact = 1
-        for j in range(1, i + 1):
-            fact *= j
-        for d, c in enumerate(poly):
-            coeffs[d] += Fraction(fi) * c / fact
+        if i:
+            poly = [a - (i - 1) * b for a, b in zip([0] + poly, poly + [0])]
+            fact *= i
+        if fi:
+            for d, c in enumerate(poly):
+                coeffs[d] += Fraction(fi) * c / fact
     return coeffs
 
 

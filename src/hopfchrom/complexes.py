@@ -408,8 +408,8 @@ def theta_certificate(phi, group, alpha, beta):
                           % (group.ground, phi.ground))
     src = phi._of_type(alpha)
     tgt = phi._of_type(beta)
-    kappa = tuple(sorted(subset_of_alpha(beta)))
-    keep = [i for i, k in enumerate(kappa) if k in subset_of_alpha(alpha)]
+    kappa, sizes = tuple(sorted(subset_of_alpha(beta))), subset_of_alpha(alpha)
+    keep = [i for i, k in enumerate(kappa) if k in sizes]
 
     def project(t):
         return tuple(t[i] for i in keep)
@@ -443,13 +443,8 @@ def _theta_equivariant(phi, group, src, kappa, project):
 
 def comparable_pairs(n, covering_only=False):
     """Pairs (alpha, beta) of compositions of n with beta refining alpha,
-    alpha != beta; covering pairs split exactly one part."""
-    comps = compositions_of(n)
-    out = []
-    for a in comps:
-        sa = subset_of_alpha(a)
-        for b in comps:
-            sb = subset_of_alpha(b)
-            if sa < sb and (not covering_only or len(sb) == len(sa) + 1):
-                out.append((a, b))
-    return out
+    alpha != beta; covering pairs split exactly one part.  Each
+    composition's partial sums are taken once."""
+    comps = [(c, subset_of_alpha(c)) for c in compositions_of(n)]
+    return [(a, b) for a, sa in comps for b, sb in comps
+            if sa < sb and (not covering_only or len(sb) == len(sa) + 1)]

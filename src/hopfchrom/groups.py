@@ -6,7 +6,10 @@ order).  That enumeration order is the canonical element order; conjugacy
 classes are ordered by the first appearance of any member in it, and the
 printed representative of a class is its lexicographically smallest cycle
 string.  All character arithmetic is exact: integers, fractions, and
-cyclotomic values only.
+cyclotomic values only.  Facts the group already holds are read, not
+recomputed: is_abelian reads the class table (every class a singleton)
+and Permutation.order the cycle lengths (their lcm), so neither
+multiplies permutations.
 
 The group's action on label masks lives here too: label i of the sorted
 ground set is bit i, Permutation.mask_images gives one permutation's image
@@ -42,6 +45,8 @@ from .cyclotomic import Cyclo, reduce_mod_cyclotomic
 from .errors import DomainError, ResourceCapError, UnsupportedGroupError, VerificationFailure
 
 GROUP_ORDER_CAP = 10080
+# The most generator-exponent assignments the character search may try.
+CHARACTER_SEARCH_CAP = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -141,11 +146,9 @@ class Permutation:
         return self.ground == self.images
 
     def order(self):
-        k, p = 1, self
-        while not p.is_identity():
-            p = p * self
-            k += 1
-        return k
+        """The lcm of the cycle lengths: a power p^k is the identity
+        exactly when k is a multiple of every cycle's length."""
+        return lcm(*map(len, self.cycles()))
 
     def cycles(self):
         """Nontrivial cycles, each rotated to start at its smallest label,
@@ -294,7 +297,9 @@ class PermGroup:
             raise DomainError("permutation %s is not in the group" % g.cycle_string())
 
     def is_abelian(self):
-        return all(a * b == b * a for a in self.generators for b in self.generators)
+        """Read off the class table: a group is abelian exactly when every
+        conjugacy class is a singleton, so when it has |G| classes."""
+        return len(self.class_reps) == self.order
 
     def exponent(self):
         return lcm(*(x.order() for x in self.elements)) if self.elements else 1
@@ -349,17 +354,11 @@ class ClassFunction:
         return ClassFunction(self.group, tuple(c * v for v in self.values))
 
     def is_zero(self):
-        return all(_value_is_zero(v) for v in self.values)
+        return all(v == 0 for v in self.values)
 
     def _check(self, other):
         if other.group is not self.group:
             raise DomainError("class functions live on different groups")
-
-
-def _value_is_zero(v):
-    if isinstance(v, Cyclo):
-        return v.is_zero()
-    return v == 0
 
 
 def _as_exact(v):
@@ -418,8 +417,10 @@ def _search_irreducibles(group):
     work = 1
     for o in orders:
         work *= o
-    if work > 10 ** 6:
-        raise ResourceCapError("too many generator assignments (%d) for character search" % work)
+        if work > CHARACTER_SEARCH_CAP:
+            raise ResourceCapError(
+                "too many generator assignments for character search: %d generators, cap %d"
+                % (len(gens), CHARACTER_SEARCH_CAP))
 
     index = group._elem_index
     times = [[index[x * g] for g in gens] for x in group.elements]
@@ -497,5 +498,4 @@ def is_effective(theta):
 
 def leq_char(chi, psi):
     """chi <= psi in the effective order: psi - chi is effective."""
-    ok, details = is_effective(psi - chi)
-    return ok, details
+    return is_effective(psi - chi)

@@ -22,9 +22,8 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 from .chromatic import binomial_to_monomial, check_ground
-from .cyclotomic import Cyclo
 from .errors import DomainError
-from .groups import GROUP_ORDER_CAP, PermGroup, Permutation
+from .groups import GROUP_ORDER_CAP, PermGroup, Permutation, _as_exact
 from .structures import (CharacterSpec, DoublePoset, Graph, Hypergraph,
                          Matroid, MixedGraph, PointCollection,
                          SimplicialComplex, make_double_poset, make_poset)
@@ -188,7 +187,8 @@ def check_colors(colors):
 
 def read_job(path, group_cap=GROUP_ORDER_CAP, max_ground=None):
     """The job in the UTF-8 file at path; a file that cannot be opened or
-    decoded, or holds no JSON document, is refused with its path."""
+    decoded, or holds no JSON document or one nested too deep to parse,
+    is refused with its path."""
     try:
         fh = open(path, encoding="utf-8")
     except OSError as exc:
@@ -196,9 +196,10 @@ def read_job(path, group_cap=GROUP_ORDER_CAP, max_ground=None):
     with fh:
         try:
             data = json.load(fh)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             # JSONDecodeError, UnicodeDecodeError and an integer past the
-            # digit limit of int() are all ValueErrors
+            # digit limit of int() are all ValueErrors; json's decoder
+            # recurses once per nested array or object
             raise DomainError("invalid JSON in %s: %s" % (path, exc))
     return load_job(data, group_cap=group_cap, max_ground=max_ground)
 
@@ -208,15 +209,12 @@ def read_job(path, group_cap=GROUP_ORDER_CAP, max_ground=None):
 
 
 def _count(v):
-    if isinstance(v, int):
-        return v
-    if isinstance(v, Fraction) and v.denominator == 1:
-        return int(v)
-    if isinstance(v, Cyclo) and v.is_rational():
-        r = v.rational_value()
-        if r.denominator == 1:
-            return int(r)
-    raise DomainError("expected an integer count, got %r" % (v,))
+    """v as an int, normalized by groups._as_exact; any other value is
+    refused."""
+    count = _as_exact(v)
+    if not isinstance(count, int):
+        raise DomainError("expected an integer count, got %r" % (v,))
+    return count
 
 
 def class_list(group):

@@ -71,21 +71,20 @@ def _items(ground, field, raw):
     """The items of field over ground, frozen by its SHAPES entry.  An
     item of the wrong shape or with a label outside the ground is bad; the
     smallest bad item in sorted label order is refused with the field's
-    text.  Then the smallest item that repeats a label is refused: that is
-    tested on the item as given, since freezing it into a set would
-    collapse ("a", "a") into {"a"}."""
+    text, named by its labels as given: freezing ("a", "a") into a set
+    would name {"a"}, an item the input does not hold.  Then the smallest
+    item that repeats a label is refused, tested on the item as given too."""
     freeze, size, text = SHAPES[field]
     raw, labels = [tuple(item) for item in raw], set(ground)
-    items = frozenset(map(freeze, raw))
-    bad = [item if freeze is tuple else sorted(item) for item in items
-           if not labels >= set(item) or len(set(item)) != len(item)
-           or size not in (None, len(item))]
+    frozen = [freeze(item) for item in raw]
+    bad = [item if freeze is tuple else sorted(item) for item, f in zip(raw, frozen)
+           if not labels >= set(f) or len(set(f)) != len(f) or size not in (None, len(f))]
     if bad:
         raise DomainError(text % (min(bad),))
     repeats = [sorted(item) for item in raw if len(set(item)) != len(item)]
     if repeats:
         raise DomainError("%s item %r repeats a label" % (field, min(repeats)))
-    return items
+    return frozenset(frozen)
 
 
 def _frozen_items(h):
@@ -556,7 +555,8 @@ def coloring_test(h, char):
         return lambda c: all(c[a] < c[b] for a, b in less)
     if h.kind == "matroid":
         bases = positions(h.bases)
-        return lambda c: _unique_min_basis(bases, c)
+        # exactly one basis of minimum weight: one best negated weight
+        return lambda c: _one_best([-sum(c[x] for x in b) for b in bases])
     if h.kind == "mixed_graph":
         und, arcs = positions(h.undirected), positions(h.directed)
         if name == "zeta":
@@ -575,8 +575,7 @@ def coloring_test(h, char):
     if h.kind == "hypergraph":
         # every edge has a unique top color
         edges = positions(h.edges)
-        return lambda c: all([c[x] for x in e].count(max(c[x] for x in e)) == 1
-                             for e in edges)
+        return lambda c: all(_one_best([c[x] for x in e]) for e in edges)
     if h.kind == "simplicial_complex":
         big = positions(f for f in h.faces if len(f) > char.s)
         return lambda c: all(len({c[x] for x in face}) != 1 for face in big)
@@ -585,27 +584,15 @@ def coloring_test(h, char):
     raise AssertionError("unhandled kind %s" % h.kind)
 
 
-def _unique_min_basis(bases, c):
-    """Whether exactly one basis (positions) has minimum total weight under c."""
-    best, count = None, 0
-    for b in bases:
-        v = sum(c[x] for x in b)
-        if best is None or v < best:
-            best, count = v, 1
-        elif v == best:
-            count += 1
-    return count == 1
+def _one_best(values):
+    """Whether exactly one of the values is the largest: the rule of every
+    "unique optimum" predicate, each scoring its own values."""
+    return values.count(max(values)) == 1
 
 
 def _unique_argmax(points, w):
-    best, count = None, 0
-    for p in points:
-        v = sum(c * wi for c, wi in zip(p, w))
-        if best is None or v > best:
-            best, count = v, 1
-        elif v == best:
-            count += 1
-    return count == 1
+    """Whether exactly one point has the largest weight under w."""
+    return _one_best([sum(c * wi for c, wi in zip(p, w)) for p in points])
 
 
 # ---------------------------------------------------------------------------

@@ -44,9 +44,11 @@ ALLOWED = {
     "cyclotomic.Cyclo.__eq__": LIBRARY + ": a character value compares exactly",
     "cyclotomic.Cyclo.__hash__": LIBRARY + ": a character value hashes with its rational",
     "cyclotomic.Cyclo.__repr__": LIBRARY + ": a character value in a traceback",
-    "cyclotomic.Cyclo.is_zero": LIBRARY + ": ClassFunction.is_zero on character values",
-    # perfbench: jobgen builds jobs with these, spans reads identity_slice
+    "cyclotomic.Cyclo.is_zero": LIBRARY + ": a character value tests for zero",
+    # perfbench: jobgen builds jobs with these, spans reads identity_slice,
+    # randgen's corpus calls is_identity
     "chromatic.ClassQSym.identity_slice": PERFBENCH,
+    "groups.Permutation.is_identity": PERFBENCH + ": randgen.random_group drops the identity",
     "jobio.structure_to_json": PERFBENCH,
     "structures.loday_associahedron": PERFBENCH,
     # error paths: a failed check prints a Cyclo or a Fraction

@@ -63,7 +63,7 @@ BAD_JOB_MESSAGES = {
     "cyclic_arcs": "directed part contains a cycle through 'b'",
     "cyclic_relations1": "relations contain a cycle through 'c'",
     "non_matroid": "bases fail the exchange axiom for ['a', 'b'], ['c', 'd'] at 'a'",
-    "bad_edges": "bad edge ['a']",
+    "bad_edges": "bad edge ['a', 'a']",
     "bad_relations": "bad order pair ('b', 'w')",
     "bad_bases": "basis ['b', 'w'] is not a subset of the ground set",
     "bad_arcs": "bad arc ('b', 'w')",
@@ -97,6 +97,18 @@ HUGE_COORDINATE_JOBS = {
     "huge_denominator": {"kind": "gen_permutohedron", "ground": ["a", "b"],
                          "points": [["0", "1"], [1, "1e-10000000"]]},
 }
+
+
+# A 3-vertex path whose group lists the swap of its ends thousands of
+# times: a group of order 2 that verify must refuse at the character
+# search cap, without working out commutators or a product of orders.
+REPEATED_GENERATOR_JOBS = {
+    "swap%d" % copies: {"kind": "graph", "vertices": ["a", "b", "c"],
+                        "edges": [["a", "c"], ["b", "c"]], "group": ["(a b)"] * copies}
+    for copies in (3000, 20000)}
+
+# A job file of one array nested 200,000 deep, past json's recursion limit.
+DEEP_JOB_TEXT = "[" * 200000 + "]" * 200000
 
 
 def write_jobs(directory, jobs, character="zeta"):
@@ -231,7 +243,7 @@ ABC, ABCD = tuple("abc"), tuple("abcd")
 
 
 @pytest.mark.parametrize("build,message", [
-    (lambda: Graph(ABC, [("c", "z"), ("b", "x"), ("a", "a")]), "bad edge ['a']"),
+    (lambda: Graph(ABC, [("c", "z"), ("b", "x"), ("a", "a")]), "bad edge ['a', 'a']"),
     (lambda: Graph(ABC, [("c", "z"), ("b", "x")]), "bad edge ['b', 'x']"),
     (lambda: Graph(ABC, [("a", "b", "c")]), "bad edge ['a', 'b', 'c']"),
     (lambda: Poset(ABC, [("b", "z"), ("a", "a"), ("b", "a")]), "bad order pair ('a', 'a')"),
@@ -262,7 +274,7 @@ ABC, ABCD = tuple("abc"), tuple("abcd")
     (lambda: Matroid(ABCD, [("b", "d"), ("a", "c"), ("a", "b")]),
      "bases fail the exchange axiom for ['a', 'c'], ['b', 'd'] at 'a'"),
     (lambda: MixedGraph(ABC, [("a", "b", "c")], []), "bad undirected edge ['a', 'b', 'c']"),
-    (lambda: MixedGraph(ABC, [("c", "q"), ("b", "b")], []), "bad undirected edge ['b']"),
+    (lambda: MixedGraph(ABC, [("c", "q"), ("b", "b")], []), "bad undirected edge ['b', 'b']"),
     (lambda: MixedGraph(ABC, [], [("c", "q"), ("b", "b")]), "bad arc ('b', 'b')"),
     (lambda: MixedGraph(ABCD, [], [("d", "c"), ("c", "d"), ("b", "a"), ("a", "b")]),
      "directed part contains a cycle through 'a'"),
@@ -402,3 +414,40 @@ def test_coordinates_within_the_digit_bound_are_read_exactly(text, numerator, de
 def test_coordinates_past_the_digit_bound_are_refused(text):
     with pytest.raises(DomainError, match=r"^points\[0\]: a coordinate has more than 4300 digits$"):
         jobio.parse_structure("gen_permutohedron", {"ground": ["a"], "points": [[text]]})
+
+
+# ---------------------------------------------------------------------------
+# hostile jobs in a fresh process
+
+
+@pytest.mark.parametrize("name", sorted(REPEATED_GENERATOR_JOBS))
+def test_repeated_generators_exit_3_at_the_character_search_cap(tmp_path, name):
+    """verify on a group of order 2 listing its generator 3,000 or 20,000
+    times exits 3 within 3 s of starting a fresh interpreter, naming the
+    cap and the number of generators in a short message."""
+    job = REPEATED_GENERATOR_JOBS[name]
+    path = write_jobs(tmp_path, {name: job}, character="chromatic")[name]
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "hopfchrom.cli", "verify", "--input", path],
+                          capture_output=True, timeout=3)
+    assert proc.returncode == 3, proc.stderr
+    message = json.loads(proc.stderr)["message"]
+    assert message == ("too many generator assignments for character search: "
+                       "%d generators, cap 1000000" % len(job["group"]))
+    assert len(message) < 200
+    assert time.perf_counter() - start < 3
+
+
+def test_deeply_nested_job_exits_2_in_a_fresh_process(tmp_path):
+    """A job file nested past json's recursion limit is invalid JSON: exit
+    2 with one JSON document on stderr, within 2 s, not a traceback."""
+    path = tmp_path / "deep.json"
+    path.write_text(DEEP_JOB_TEXT)
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "hopfchrom.cli", "psi", "--input", str(path)],
+                          capture_output=True, timeout=2)
+    assert proc.returncode == 2, proc.stderr[-300:]
+    err = json.loads(proc.stderr)
+    assert err["error"] == "domain"
+    assert err["message"].startswith("invalid JSON in %s: " % path)
+    assert time.perf_counter() - start < 2
