@@ -24,8 +24,9 @@ most 3^n pairs however many prefixes reach R:
   which the coloring complex's convexity check reads too;
 - hypergraphs: S is allowed when every edge that meets S and lies inside
   the placed labels together with S meets S in exactly one element;
-- point collections: every S is allowed and whole compositions are
-  filtered, scoring against the points scaled once to integers.
+- point collections: every S is allowed, and the recursion carries each
+  prefix's score vector, one integer per point, so a composition is kept
+  at its last block when its weighting has exactly one best point.
 
 psi counts, at each conjugacy class representative g, the compositions
 g fixes, without listing them: g fixes one exactly when it maps every
@@ -50,7 +51,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import comb
-from operator import itemgetter
+from operator import add, itemgetter
 
 from .compositions import IntComposition, submasks
 from .errors import DomainError, ResourceCapError
@@ -65,14 +66,16 @@ ORACLE_GROUND_CAP = 8
 def proper_compositions(h, char, max_ground=GROUND_CAP):
     """All proper set compositions of h for the character, as tuples of
     block masks (label i of the sorted ground set is bit i), in listing
-    order; compositions.mask_labels gives the labels of a mask."""
+    order: the order in which the recursion follows the next-block table.
+    compositions.mask_labels gives the labels of a mask."""
     char = check_compatible(h, char)
     check_ground(len(h.ground), max_ground)
     table = _next_blocks(h, char)
-    found = _walk(table, len(table) - 1, table[-1])
+    full = len(table) - 1
     if h.kind == "gen_permutohedron":
-        found = _points_filter(h, found)
-    return list(found)
+        sums = _coordinate_sums(h.integer_points, full)
+        return list(_scored_walk(table, sums, full, sums[0]))
+    return list(_walk(table, full, table[full]))
 
 
 def check_ground(n, max_ground):
@@ -88,8 +91,8 @@ def _next_blocks(h, char):
     piece S, as the job's structures.splitting_memo answers: following
     the table peels a composition block by block through nonzero splits,
     which is what makes it proper.  Hypergraphs allow S by the edge rule
-    of _edges_ok; point collections allow every S and _points_filter
-    tests whole compositions."""
+    of _edges_ok; point collections allow every S, and _scored_walk
+    scores each composition as it reaches its last block."""
     ground = h.ground
     full = (1 << len(ground)) - 1
     table = [[]]
@@ -130,29 +133,36 @@ def _walk(table, R, blocks, prefix=()):
             yield from _walk(table, R ^ S, table[R ^ S], prefix + (S,))
 
 
-def _points_filter(h, found):
-    """Yield the compositions whose block-index weighting (a label in
-    the j-th block weighs j) has a unique maximizing point, the rule of
-    the vertex_generic character, scored on the integer points of
-    PointCollection.integer_points.  A label in the
-    j-th block (counting from 1) lies in exactly j of the suffix unions
-    B_i | ... | B_k, so a point scores the sum of its coordinate sums over
-    those unions."""
-    n = len(h.ground)
-    points = h.integer_points
-    # sums[m]: the coordinate sum over the bits of m, one entry per point
+def _coordinate_sums(points, full):
+    """sums[m] for every label mask m up to full: the coordinate sum of
+    each point over the bits of m, one integer per point."""
     sums = [[0] * len(points)]
-    for m in range(1, 1 << n):
+    for m in range(1, full + 1):
         low = m & -m
         i = low.bit_length() - 1
         sums.append([s + p[i] for s, p in zip(sums[m ^ low], points)])
-    for c in found:
-        suffixes, acc = [], 0
-        for S in reversed(c):
-            acc |= S
-            suffixes.append(sums[acc])
-        if _one_best(list(map(sum, zip(*suffixes)))):
-            yield c
+    return sums
+
+
+def _scored_walk(table, sums, R, score, prefix=()):
+    """_walk for point collections, keeping only the compositions whose
+    block-index weighting (a label in the j-th block, counting from 1,
+    weighs j) has exactly one best point, the rule of vertex_generic.
+
+    A label in the j-th block lies in exactly j of the remainders R_1,
+    ..., R_k, where R_i holds the labels not yet placed before block i
+    (the union of blocks i to k), so a point's weight is the sum of its
+    coordinate sums sums[R_i].  score holds that sum over the remainders
+    before R, one integer per point; sums[R] is added once here, for
+    every composition that continues this prefix, and the vector is
+    complete when the last block S = R is placed."""
+    score = list(map(add, score, sums[R]))
+    for S in table[R]:
+        if S == R:
+            if _one_best(score):
+                yield prefix + (S,)
+        else:
+            yield from _scored_walk(table, sums, R ^ S, score, prefix + (S,))
 
 
 @dataclass
@@ -215,8 +225,8 @@ def psi(h, char, group, max_ground=GROUND_CAP):
     those fixed by x g x^-1.
 
     Point collections are the exception: their rule scores whole
-    compositions, so those are listed, filtered and counted at every
-    element by fixed_qsym."""
+    compositions, so those are listed by proper_compositions and counted
+    at every element by fixed_qsym."""
     char = check_compatible(h, char)
     if group.ground != h.ground:
         raise DomainError("group acts on %r, structure lives on %r"

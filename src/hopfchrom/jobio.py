@@ -83,17 +83,25 @@ def _pairs(raw, field):
 # The most digits a coordinate's numerator or denominator may have: the
 # limit int() puts on a decimal string, and so on a JSON integer.
 COORDINATE_DIGITS = 4300
+_INTEGER = re.compile(r"-?[0-9]+")
 _EXPONENT = re.compile(r"\s*[-+]?([\d_]*)(?:\.([\d_]*))?[eE]([-+]?\d[\d_]*)\s*")
 
 
 def _coordinate(text):
-    """The Fraction of a coordinate's text.  Fraction reads the digits of
-    a numerator or denominator through int(), which refuses more than
-    COORDINATE_DIGITS of them, but then multiplies by 10 ** exponent
-    unbounded.  So in exponent notation the numerator Fraction would
-    build, the significant digits times 10 ** exponent, and the
-    denominator, 10 ** (fraction digits - exponent), are bounded first,
-    before any integer is built."""
+    """The exact value of a coordinate's text, equal to Fraction(text).
+
+    A plain integer text (an optional minus sign and ASCII digits) of at
+    most COORDINATE_DIGITS characters is read by int(), which cannot
+    refuse it, since it has no more digits than int() reads.  Any other
+    text is read by Fraction, which reads the digits of a numerator or
+    denominator through int() too, refusing more than COORDINATE_DIGITS
+    of them, but then multiplies by 10 ** exponent unbounded.  So in
+    exponent notation the numerator Fraction would build, the
+    significant digits times 10 ** exponent, and the denominator,
+    10 ** (fraction digits - exponent), are bounded first, before any
+    integer is built."""
+    if len(text) <= COORDINATE_DIGITS and _INTEGER.fullmatch(text):
+        return int(text)
     m = _EXPONENT.fullmatch(text)
     if m:
         whole, frac, exp = (g.replace("_", "") for g in m.groups(""))

@@ -49,7 +49,7 @@ is.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import combinations, permutations
 from math import lcm
 
@@ -283,7 +283,16 @@ class SimplicialComplex:
 class PointCollection:
     """Finitely many exact rational points indexed by the ground set,
     all on a common hyperplane sum(x) = const in the intended use.
-    Coordinates are stored in sorted-label order; duplicates collapse."""
+    Coordinates are stored in sorted-label order; duplicates collapse.
+
+    integer_points holds the points scaled by the lcm of their
+    denominators, as sorted distinct integer tuples, and points the same
+    points as Fraction tuples in the same order.  Multiplying by one
+    positive scale is injective and keeps the lexicographic order of
+    tuples, so deduplicating and sorting the scaled tuples gives the
+    points deduplicated and sorted as Fractions; and it keeps the set of
+    maximizers of every weighting, so integer scores decide properness
+    exactly as the Fractions do."""
 
     kind = "gen_permutohedron"
     ground: tuple
@@ -291,24 +300,20 @@ class PointCollection:
 
     def __post_init__(self):
         object.__setattr__(self, "ground", _norm_ground(self.ground))
-        pts = set()
+        rows = []
         for p in self.points:
             if len(p) != len(self.ground):
                 raise DomainError("point %r has wrong dimension" % (p,))
-            pts.add(tuple(Fraction(c) for c in p))
-        if not pts:
+            rows.append(tuple(c if type(c) is int else Fraction(c) for c in p))
+        if not rows:
             raise DomainError("need at least one point")
-        object.__setattr__(self, "points", tuple(sorted(pts)))
-
-    @cached_property
-    def integer_points(self):
-        """The points scaled by the lcm of their denominators, as integer
-        tuples in the order of points.  A positive factor keeps the set of
-        maximizers of every weighting, so integer scores decide properness
-        exactly as the Fractions do."""
-        scale = lcm(*(c.denominator for p in self.points for c in p))
-        return tuple(tuple(c.numerator * (scale // c.denominator) for c in p)
-                     for p in self.points)
+        scale = lcm(*(c.denominator for p in rows for c in p))
+        ints = tuple(sorted({tuple(c.numerator * (scale // c.denominator) for c in p)
+                             for p in rows}))
+        exact = {v: Fraction(v, scale) for p in ints for v in p}
+        object.__setattr__(self, "integer_points", ints)
+        object.__setattr__(self, "points", tuple(tuple(map(exact.__getitem__, p))
+                                                 for p in ints))
 
 
 KIND_CLASSES = {
@@ -645,8 +650,16 @@ def automorphisms(h, cap=7):
 def loday_associahedron(n):
     """The associahedron on ground labels "1", ..., "n", realized as the
     Minkowski sum over intervals [i, j] of the simplex on coordinates
-    i..j; the stored points are all vertex-combination sums, so ties in a
-    weighting detect positive-dimensional optimal faces exactly."""
+    i..j; the stored points are all sums of one vertex per simplex, not
+    only the vertices of their convex hull.
+
+    vertex_generic asks whether exactly one point maximizes a weighting,
+    and the answer is the same on these points as on the vertices of
+    their hull alone.  Over the hull the weighting is largest on a face
+    F, and the points attaining the maximum are the points in F.  If F
+    is a vertex, it is the only one, since duplicates collapse;
+    otherwise F has at least two vertices, and every vertex of the hull
+    is a stored point."""
     if not 1 <= n <= 9:
         raise DomainError("need 1 <= n <= 9 (single-digit labels keep sorted order numeric)")
     ground = tuple(str(i) for i in range(1, n + 1))
@@ -655,4 +668,4 @@ def loday_associahedron(n):
         for j in range(i, n + 1):
             sums = {tuple(p[t] + (1 if t == k - 1 else 0) for t in range(n))
                     for p in sums for k in range(i, j + 1)}
-    return PointCollection(ground, tuple(tuple(Fraction(c) for c in p) for p in sums))
+    return PointCollection(ground, tuple(sums))

@@ -6,8 +6,10 @@ proper_composition peels a composition left to right through nonzero
 splits, the character equal to 1 on every restricted block; hypergraphs
 and point collections get their direct tests.  The program decides the
 same questions over label masks: structures.SplittingMemo.nonzero for
-the splits, chromatic._next_blocks and _points_filter for the
-compositions, structures.coloring_test for colorings.  restrict,
+the splits, chromatic._next_blocks for the compositions (for point
+collections, chromatic._scored_walk, which carries each prefix's score
+vector down the walk and keeps a composition at its last block),
+structures.coloring_test for colorings.  restrict,
 contract and char_value are read through the minor_reference module, so
 a fault injected there reaches this route as well."""
 

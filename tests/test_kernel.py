@@ -131,19 +131,22 @@ def test_psi_cap_refuses_before_the_table(monkeypatch, kind):
     assert calls == ["_next_blocks"]
 
 
+# halves and thirds on a common hyperplane, with ties among them
+FRACTIONAL_POINTS = (
+    (Fraction(1, 2), Fraction(1, 2), 0, 0),
+    (Fraction(1, 3), Fraction(2, 3), 0, 0),
+    (0, 1, 0, 0),
+    (Fraction(1, 2), 0, Fraction(1, 2), 0),
+    (0, 0, Fraction(-1, 2), Fraction(3, 2)),
+    (Fraction(1, 6), 0, 0, Fraction(5, 6)),
+)
+
+
 def test_point_scoring_with_fractional_coordinates():
     """Randgen points are integral, so the lcm scaling of
-    PointCollection.integer_points, which the kernel's filter and the
-    oracle read, is only exercised by coordinates like these halves and
-    thirds, with ties among them."""
-    h = PointCollection(("a", "b", "c", "d"), (
-        (Fraction(1, 2), Fraction(1, 2), 0, 0),
-        (Fraction(1, 3), Fraction(2, 3), 0, 0),
-        (0, 1, 0, 0),
-        (Fraction(1, 2), 0, Fraction(1, 2), 0),
-        (0, 0, Fraction(-1, 2), Fraction(3, 2)),
-        (Fraction(1, 6), 0, 0, Fraction(5, 6)),
-    ))
+    PointCollection.integer_points, which the kernel's scored walk and
+    the oracle read, is only exercised by coordinates like these."""
+    h = PointCollection(("a", "b", "c", "d"), FRACTIONAL_POINTS)
     every = enumerate_set_compositions(h.ground)
     expected = [c for c in every if _points_proper(h, c)]
     assert 0 < len(expected) < len(every)
