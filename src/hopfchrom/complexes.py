@@ -7,8 +7,12 @@ face set that is sandwich-closed (anything between two faces is a face),
 pure (every face extends to one of maximal size), and balanced (member
 sizes inside a face are distinct, which flags guarantee for free).  A
 face is kept only as its mask chain, the tuple of its member bitmasks
-(label i of the sorted ground set is bit i); labels appear only in JSON
-output and in error messages.
+(label i of the sorted ground set is bit i).  The complex owns the face
+order and the face text: it sorts its faces once, shorter flags first
+and then by label chain, into BalancedRelativeComplex.ordered, which the
+per-size-set lists, hilb, the certificates and the JSON faces all read;
+and its per-mask member-text table is the one place that writes a flag
+as text, for the JSON faces and the sandwich and purity refusals.
 
 coloring_complex builds the face set of all flags of proper compositions
 of a structure; for kinds with a splitting calculus the three convexity
@@ -104,11 +108,8 @@ class BalancedRelativeComplex:
         sigma is a face.  It suffices to test sigma = tau - x for every
         face tau and member x: if that local rule holds and rho <= sigma
         <= tau, take x in tau - sigma; tau - x lies above the face rho, so
-        it is a face, and induction on |tau - sigma| reaches sigma.
-        face_below(sigma) answers "is some face inside sigma?": sigma
-        itself if it is a face, else the answer for some sigma - x, since
-        a face strictly inside sigma misses some member x of sigma; by
-        induction on |sigma| it finds a face exactly when one exists.
+        it is a face, and induction on |tau - sigma| reaches sigma;
+        _face_below says whether some face lies below sigma.
 
         Purity: every face lies in a face of the top size.  Search down
         from the top faces, dropping one member at a time and passing only
@@ -118,28 +119,15 @@ class BalancedRelativeComplex:
         always reached."""
         chains = self.faces
         below = {}
-
-        def face_below(sigma):
-            if sigma in chains:
-                return sigma
-            if sigma not in below:
-                below[sigma] = None
-                for i in range(len(sigma)):
-                    rho = face_below(sigma[:i] + sigma[i + 1:])
-                    if rho is not None:
-                        below[sigma] = rho
-                        break
-            return below[sigma]
-
         for tau in chains:
             for i in range(len(tau)):
                 sigma = tau[:i] + tau[i + 1:]
                 if sigma not in chains:
-                    rho = face_below(sigma)
+                    rho = _face_below(sigma, chains, below)
                     if rho is not None:
                         raise DomainError(
                             "sandwich violation: %s <= %s <= %s, middle face missing"
-                            % tuple(_chain_str(self.labels(c)) for c in (rho, sigma, tau)))
+                            % tuple(map(self.text, (rho, sigma, tau))))
         if chains:
             top = max(map(len, chains))
             reached = frontier = {c for c in chains if len(c) == top}
@@ -148,9 +136,9 @@ class BalancedRelativeComplex:
                         & chains) - reached
                 reached |= frontier
             if len(reached) < len(chains):
-                face = min(self.labels(c) for c in chains if c not in reached)
+                face = min((c for c in chains if c not in reached), key=self.labels)
                 raise DomainError("purity violation: face %s extends to no %d-vertex face"
-                                  % (_chain_str(face), top))
+                                  % (self.text(face), top))
 
     def labels(self, chain):
         """The members of a mask chain as sorted label tuples."""
@@ -161,11 +149,27 @@ class BalancedRelativeComplex:
         return mask_labels(self.ground)
 
     @cached_property
+    def member_text(self):
+        """member_text[m]: the flag text of member mask m, as "{a,c}"."""
+        return ["{%s}" % ",".join(labels) for labels in self._label_table]
+
+    def text(self, chain):
+        """A mask chain as flag text, "(empty)" for the empty one."""
+        return "<".join(self.member_text[m] for m in chain) or "(empty)"
+
+    @cached_property
+    def ordered(self):
+        """The faces sorted once, by length and then by label chain: the
+        order of the JSON faces and of every per-size-set list."""
+        return sorted(self.faces, key=lambda c: (len(c), self.labels(c)))
+
+    @cached_property
     def _types(self):
         """kappa -> the faces of that size set, in the order of their label
-        chains (the order of their Flags)."""
+        chains (the order of their Flags).  All faces of one size set have
+        the same length, so the walk over ordered lists each in that order."""
         out = {}
-        for c in sorted(self.faces, key=self.labels):
+        for c in self.ordered:
             out.setdefault(tuple(m.bit_count() for m in c), []).append(c)
         return out
 
@@ -193,9 +197,24 @@ class BalancedRelativeComplex:
         return self._moved[g]
 
 
-def _chain_str(chain):
-    """A chain of label tuples as flag text, "(empty)" for the empty one."""
-    return "<".join("{%s}" % ",".join(s) for s in chain) or "(empty)"
+def _face_below(sigma, chains, below):
+    """A face inside sigma, or None: sigma itself if it is a face, else
+    the answer for some sigma - x, since a face strictly inside sigma
+    misses some member x of sigma; by induction on |sigma| it finds a
+    face exactly when one exists.  below memoizes the answers.  A module
+    function, not a closure over the face set: a closure that calls
+    itself is a reference cycle, and would keep the face set alive after
+    its complex until the cyclic collector ran."""
+    if sigma in chains:
+        return sigma
+    if sigma not in below:
+        below[sigma] = None
+        for i in range(len(sigma)):
+            rho = _face_below(sigma[:i] + sigma[i + 1:], chains, below)
+            if rho is not None:
+                below[sigma] = rho
+                break
+    return below[sigma]
 
 
 def check_balanced_convex(h, char):

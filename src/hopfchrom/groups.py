@@ -84,7 +84,9 @@ class Permutation:
 
     @classmethod
     def from_cycles(cls, text, ground):
-        """Parse cycle notation like "(a c)(b d)"; "()" is the identity."""
+        """Parse cycle notation like "(a c)(b d)"; "()" is the identity.
+        A label may appear once in the whole text, inside one cycle as
+        across cycles."""
         ground = tuple(sorted(ground))
         mapping = {}
         body = text.strip()
@@ -96,12 +98,11 @@ class Permutation:
             labels = cyc.replace(",", " ").split()
             if len(labels) == 0:
                 continue
-            for x in labels:
-                if x not in ground:
-                    raise DomainError("cycle label %r is not in the ground set" % (x,))
-                if x in mapping:
-                    raise DomainError("label %r repeated in cycle notation %r" % (x, text))
             for a, b in zip(labels, labels[1:] + labels[:1]):
+                if a not in ground:
+                    raise DomainError("cycle label %r is not in the ground set" % (a,))
+                if a in mapping:
+                    raise DomainError("label %r repeated in cycle notation %r" % (a, text))
                 mapping[a] = b
         return cls.from_mapping(mapping, ground)
 

@@ -285,10 +285,11 @@ def poly_to_json(p):
 
 
 def flags_to_json(phi):
-    """The faces of a complex as flag member texts, sorted by length and
-    then by label chain."""
-    chains = sorted(map(phi.labels, phi.faces), key=lambda ch: (len(ch), ch))
-    return [["{%s}" % ",".join(m) for m in ch] for ch in chains]
+    """The faces of a complex as lists of member texts, in the order and
+    with the texts the complex owns (phi.ordered, phi.member_text);
+    nothing is sorted or formatted here."""
+    text = phi.member_text
+    return [[text[m] for m in c] for c in phi.ordered]
 
 
 def certificate_to_json(cert):

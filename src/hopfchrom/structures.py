@@ -287,12 +287,12 @@ class PointCollection:
 
     integer_points holds the points scaled by the lcm of their
     denominators, as sorted distinct integer tuples, and points the same
-    points as Fraction tuples in the same order.  Multiplying by one
-    positive scale is injective and keeps the lexicographic order of
-    tuples, so deduplicating and sorting the scaled tuples gives the
-    points deduplicated and sorted as Fractions; and it keeps the set of
-    maximizers of every weighting, so integer scores decide properness
-    exactly as the Fractions do."""
+    points as Fraction tuples in the same order, with one Fraction built
+    per distinct value.  Multiplying by one positive scale is injective
+    and keeps the lexicographic order of tuples, so deduplicating and
+    sorting the scaled tuples gives the points deduplicated and sorted as
+    Fractions; and it keeps the set of maximizers of every weighting, so
+    integer scores decide properness exactly as the Fractions do."""
 
     kind = "gen_permutohedron"
     ground: tuple
@@ -310,7 +310,7 @@ class PointCollection:
         scale = lcm(*(c.denominator for p in rows for c in p))
         ints = tuple(sorted({tuple(c.numerator * (scale // c.denominator) for c in p)
                              for p in rows}))
-        exact = {v: Fraction(v, scale) for p in ints for v in p}
+        exact = {v: Fraction(v, scale) for v in {v for p in ints for v in p}}
         object.__setattr__(self, "integer_points", ints)
         object.__setattr__(self, "points", tuple(tuple(map(exact.__getitem__, p))
                                                  for p in ints))

@@ -6,13 +6,14 @@ equivariance test, hilb counted with act_flag on every face, and the
 faces built as one Flag per proper composition and written out in Flag
 order."""
 
+import gc
 import random
 from itertools import combinations
 
 from hopfchrom.chromatic import ClassQSym
 from hopfchrom.complexes import (BalancedRelativeComplex, coloring_complex,
                                  comparable_pairs, complex_automorphism_check,
-                                 hilb, theta_certificate)
+                                 flag_f_vector, hilb, theta_certificate)
 from hopfchrom.compositions import Flag, alpha_of_subset, compositions_of, subset_of_alpha
 from hopfchrom.errors import DomainError
 from hopfchrom.groups import ClassFunction, PermGroup, Permutation
@@ -197,6 +198,27 @@ def _random_family(rng, flags):
     return sorted(family)
 
 
+def test_validation_leaves_no_reference_cycle(bowtie):
+    """Validating a complex, down through the search for a face below a
+    missing tau - x, leaves no cyclic garbage: its face set is freed with
+    the complex, not when the cyclic collector next runs."""
+    phi = coloring_complex(bowtie, CharacterSpec("chromatic"))
+    ground, flags = phi.ground, _flags(phi)
+    assert any(tau[:i] + tau[i + 1:] not in phi.faces
+               for tau in phi.faces for i in range(len(tau)))
+    gc.collect()
+    start, debug = len(gc.garbage), gc.get_debug()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        BalancedRelativeComplex(ground, flags)
+        gc.collect()
+    finally:
+        gc.set_debug(debug)
+        cyclic = gc.garbage[start:]
+        del gc.garbage[start:]
+    assert cyclic == []
+
+
 def test_random_flag_families_same_verdict():
     rng = random.Random(20261018)
     seen = {None: 0, "sandwich violation": 0, "purity violation": 0}
@@ -325,6 +347,47 @@ def test_c7_faces_match_flag_route():
     c7 = Graph(ground, frozenset(frozenset({ground[i], ground[(i + 1) % 7]})
                                  for i in range(7)))
     _check_faces(c7, CharacterSpec("chromatic"))
+
+
+def test_one_face_order_and_one_face_text():
+    """Every corpus complex and 40 unvalidated random families: ordered is
+    the face set sorted by (length, label chain), each per-size-set list
+    is the Flag-sorted faces of that size set, and text is the Flag's
+    text, "(empty)" for the empty face."""
+    rng = random.Random(24)
+    ground = ("a", "b", "c", "d")
+    flags = _all_flags(ground)
+    complexes = [coloring_complex(h, char) for _, h, char, _ in CORPUS]
+    complexes += [BalancedRelativeComplex(ground, _random_family(rng, flags), validate=False)
+                  for _ in range(40)]
+    for phi in complexes:
+        flag = {_mask_chain(phi.ground, f): f for f in _flags(phi)}
+        assert phi.ordered == sorted(phi.faces, key=lambda c: (len(c), flag[c].chain))
+        assert {kappa: [flag[c] for c in faces] for kappa, faces in phi._types.items()} \
+            == _flags_by_kappa(phi)
+        for c, f in flag.items():
+            assert phi.text(c) == (str(f) if c else "(empty)")
+
+
+def test_the_face_set_is_sorted_once(monkeypatch, bowtie, z2):
+    """The JSON faces, the flag f-vector, hilb and every certificate read
+    one sort of the face set: the sort key runs once per face."""
+    keyed, labels = [], BalancedRelativeComplex.labels
+
+    def counted(self, chain):
+        keyed.append(chain)
+        return labels(self, chain)
+
+    monkeypatch.setattr(BalancedRelativeComplex, "labels", counted)
+    phi = coloring_complex(bowtie, CharacterSpec("chromatic"))
+    assert not keyed
+    faces = flags_to_json(phi)
+    flag_f_vector(phi)
+    hilb(phi, z2)
+    for a, b in _theta_pairs(len(phi.ground)):
+        theta_certificate(phi, z2, a, b)
+    assert flags_to_json(phi) == faces
+    assert sorted(keyed) == sorted(phi.faces)
 
 
 def test_complex_route_builds_no_flags(monkeypatch, bowtie, z2):

@@ -72,6 +72,30 @@ def test_permutation_parse_forms():
         Permutation.parse("(a e)", ABCD)
 
 
+@pytest.mark.parametrize("text, label", [
+    ("(a a)", "a"), ("(a b a)", "a"), ("(c d b c)", "c"), ("(a b)(c d d)", "d"),
+    ("(a b)(c a)", "a"), ("(a, b, b)", "b")])
+def test_cycle_notation_refuses_a_repeated_label(text, label):
+    """A label repeated inside one cycle is refused with the text that a
+    label repeated across cycles gets; "(a a)" is no identity."""
+    with pytest.raises(DomainError) as info:
+        Permutation.from_cycles(text, ABCD)
+    assert str(info.value) == "label %r repeated in cycle notation %r" % (label, text)
+
+
+def test_cycle_notation_checks_each_label_in_order():
+    """The first bad label in reading order names the refusal."""
+    for text, message in (("(a e a)", "cycle label 'e' is not in the ground set"),
+                          ("(a a e)", "label 'a' repeated in cycle notation '(a a e)'"),
+                          ("(a)(b)", None)):
+        try:
+            g = Permutation.from_cycles(text, ABCD)
+        except DomainError as exc:
+            assert str(exc) == message
+        else:
+            assert message is None and g.is_identity()
+
+
 def test_group_closure_and_classes():
     r = Permutation.from_cycles("(a b d c)", ABCD)
     g4 = PermGroup((r,))

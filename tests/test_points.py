@@ -11,7 +11,7 @@ from itertools import permutations
 
 import pytest
 
-from hopfchrom import chromatic, jobio
+from hopfchrom import chromatic, jobio, structures
 from hopfchrom.chromatic import proper_compositions, psi
 from hopfchrom.errors import DomainError
 from hopfchrom.groups import PermGroup, Permutation
@@ -144,3 +144,20 @@ def test_associahedron_psi_equals_psi_on_its_vertices(n, catalan):
     assert len(vertices) == catalan and vertices <= set(h.integer_points)
     group = PermGroup([Permutation(h.ground, tuple(reversed(h.ground)))])
     assert psi(PointCollection(h.ground, tuple(vertices)), VG, group) == psi(h, VG, group)
+
+
+def test_one_fraction_is_built_per_distinct_value(monkeypatch):
+    """loday_associahedron(5) stores 567 integer points of five
+    coordinates with 9 distinct values; its Fraction points take one
+    Fraction each, not one per coordinate."""
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(structures, "Fraction", counted)
+    h = loday_associahedron(5)
+    values = {v for p in h.integer_points for v in p}
+    assert (len(h.integer_points), len(values), len(built)) == (567, 9, 9)
+    assert h.points == tuple(tuple(map(Fraction, p)) for p in h.integer_points)

@@ -52,7 +52,7 @@ ALLOWED = {
     "jobio.structure_to_json": PERFBENCH,
     "structures.loday_associahedron": PERFBENCH,
     # error paths: a failed check prints a Cyclo or a Fraction
-    "complexes._chain_str": ERROR + ": an invalid complex names its faces",
+    "complexes.BalancedRelativeComplex.text": ERROR + ": an invalid complex names its faces",
     "errors.VerificationFailure.__init__": ERROR + ": a failed verification",
     "jobio._exact": ERROR + ": a Fraction or Cyclo in failure details",
     "cyclotomic.Cyclo.is_rational": ERROR + ": a non-integer multiplicity",

@@ -56,6 +56,8 @@ BAD_JOBS = {
                        "edges": [["c", "x"], ["b", "y"], ["b", "w"]]},
     "bad_faces": {"kind": "simplicial_complex", "ground": list("abc"),
                   "faces": [["c", "x"], ["b", "y", "z"], ["b", "w"]]},
+    "repeated_in_cycle": {"kind": "graph", "vertices": list("abcd"), "edges": [["a", "b"]],
+                          "group": ["(a b)", "(c b d c b)"]},
 }
 
 BAD_JOB_MESSAGES = {
@@ -69,6 +71,7 @@ BAD_JOB_MESSAGES = {
     "bad_arcs": "bad arc ('b', 'w')",
     "bad_undirected": "bad undirected edge ['b', 'w']",
     "bad_faces": "face ['b', 'w'] is not a subset of the ground set",
+    "repeated_in_cycle": "group[1]: label 'c' repeated in cycle notation '(c b d c b)'",
 }
 
 
