@@ -231,7 +231,7 @@ def psi(h, char, group, max_ground=GROUND_CAP):
     if group.ground != h.ground:
         raise DomainError("group acts on %r, structure lives on %r"
                           % (group.ground, h.ground))
-    for g in group.generators:
+    for g in group.distinct_generators:
         if not automorphism_check(h, g):
             raise DomainError("generator %s is not an automorphism of the structure"
                               % g.cycle_string())

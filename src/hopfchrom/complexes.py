@@ -8,11 +8,15 @@ pure (every face extends to one of maximal size), and balanced (member
 sizes inside a face are distinct, which flags guarantee for free).  A
 face is kept only as its mask chain, the tuple of its member bitmasks
 (label i of the sorted ground set is bit i).  The complex owns the face
-order and the face text: it sorts its faces once, shorter flags first
-and then by label chain, into BalancedRelativeComplex.ordered, which the
-per-size-set lists, hilb, the certificates and the JSON faces all read;
-and its per-mask member-text table is the one place that writes a flag
-as text, for the JSON faces and the sandwich and purity refusals.
+order and the face text in one member table, built from the member
+masks its faces hold and never sized by the 2^n masks of the ground
+set: each mask's rank in label-tuple order and its text.  It sorts its
+faces once, shorter flags first and then by label chain, into
+BalancedRelativeComplex.ordered, one int key per face built from the
+ranks; the per-size-set lists, hilb, the certificates and the JSON faces
+all read that order.  The text half of the table is the one place that
+writes a flag as text, for the JSON faces and the sandwich and purity
+refusals.
 
 coloring_complex builds the face set of all flags of proper compositions
 of a structure; for kinds with a splitting calculus the three convexity
@@ -52,8 +56,7 @@ from itertools import accumulate, combinations
 from operator import or_
 
 from .compositions import (Flag, IntComposition, alpha_of_subset,
-                           compositions_of, mask_labels, refines,
-                           submasks, subset_of_alpha)
+                           compositions_of, refines, submasks, subset_of_alpha)
 # psi is not called here; it stays importable next to hilb, and
 # perfbench/test_perfbench.py checks its tracer rebinds this name
 from .chromatic import (GROUND_CAP, check_ground, fixed_qsym,
@@ -116,7 +119,9 @@ class BalancedRelativeComplex:
         through faces.  With sandwich closure every chain between a face
         and a top face above it is a face, so the search reaches exactly
         the faces below some top face; the empty face, when present, is
-        always reached."""
+        always reached.  The face refused is the unreached one smallest by
+        label chain, with no length compared first: keyed by its list of
+        member ranks, not by _key."""
         chains = self.faces
         below = {}
         for tau in chains:
@@ -136,32 +141,50 @@ class BalancedRelativeComplex:
                         & chains) - reached
                 reached |= frontier
             if len(reached) < len(chains):
-                face = min((c for c in chains if c not in reached), key=self.labels)
+                members = self.members
+                face = min((c for c in chains if c not in reached),
+                           key=lambda c: [members[m][0] for m in c])
                 raise DomainError("purity violation: face %s extends to no %d-vertex face"
                                   % (self.text(face), top))
 
-    def labels(self, chain):
-        """The members of a mask chain as sorted label tuples."""
-        return [self._label_table[m] for m in chain]
-
     @cached_property
-    def _label_table(self):
-        return mask_labels(self.ground)
-
-    @cached_property
-    def member_text(self):
-        """member_text[m]: the flag text of member mask m, as "{a,c}"."""
-        return ["{%s}" % ",".join(labels) for labels in self._label_table]
+    def members(self):
+        """mask -> (rank, text) for each member mask the faces hold: its
+        position among those masks sorted by label tuple, and its flag
+        text, as "{a,c}".  Nothing here is sized by the 2^n masks of the
+        ground set, only by the masks that occur in faces."""
+        ground = self.ground
+        labels = {m: tuple(x for i, x in enumerate(ground) if m >> i & 1)
+                  for m in set().union(*self.faces)}
+        return {m: (rank, "{%s}" % ",".join(labels[m]))
+                for rank, m in enumerate(sorted(labels, key=labels.__getitem__))}
 
     def text(self, chain):
         """A mask chain as flag text, "(empty)" for the empty one."""
-        return "<".join(self.member_text[m] for m in chain) or "(empty)"
+        members = self.members
+        return "<".join(members[m][1] for m in chain) or "(empty)"
+
+    def _key(self, chain):
+        """The sort key of a face, one int: its length, then each member's
+        rank in a field of w bits, w the bit length of the number of
+        member masks, so every rank fits in its field.  Ranks compare as
+        label tuples do, since distinct masks have distinct label tuples.
+        At one length L the key is L * 2^(wL) plus the packed ranks, so
+        two keys compare as their rank chains do.  A chain of length L has
+        a key below (L + 1) * 2^(wL), and one of length L' > L a key of at
+        least L' * 2^(wL') >= (L + 1) * 2^(w(L + 1)), so the longer chain
+        has the larger key.  The empty face's key is 0."""
+        members = self.members
+        width, key = len(members).bit_length(), len(chain)
+        for m in chain:
+            key = key << width | members[m][0]
+        return key
 
     @cached_property
     def ordered(self):
         """The faces sorted once, by length and then by label chain: the
         order of the JSON faces and of every per-size-set list."""
-        return sorted(self.faces, key=lambda c: (len(c), self.labels(c)))
+        return sorted(self.faces, key=self._key)
 
     @cached_property
     def _types(self):
@@ -247,33 +270,37 @@ def check_balanced_convex(h, char):
     if h.kind in DIRECT_ONLY_KINDS:
         return None
     memo = splitting_memo(h, char)
-    labels, seen = memo.labels, set()
+    return _convex_walk(memo, set(), memo.full, memo.full, [])
 
-    def walk(R, T, trail):
-        key = memo.key(R, T)
-        if key in seen:
-            return None
-        seen.add(key)
-        phi = memo.one(R, T)
-        witness = {"ground": list(labels[T]), "trail": trail}
-        if not T & (T - 1):
-            return None if phi else dict(witness, condition=1,
-                                         detail="character is 0 on a singleton")
-        splits = sorted((S for S in submasks(T) if S != T and memo.nonzero(T, S)),
-                        key=lambda S: (S.bit_count(), labels[S]))
-        if not splits:
-            return dict(witness, condition=2, detail="no nonzero split exists")
-        for S in splits:
-            if phi and not (memo.one(R, S) and memo.one(R ^ S, T ^ S)):
-                return dict(witness, condition=3, subset=list(labels[S]),
-                            detail="character 1 on the whole but 0 on a piece")
-            for R2, T2, tag in ((R, S, "restrict"), (R ^ S, T ^ S, "contract")):
-                w = walk(R2, T2, trail + [(tag, labels[S])])
-                if w is not None:
-                    return w
+
+def _convex_walk(memo, seen, R, T, trail):
+    """The first violation on the minor (R, T) or a minor below it, or
+    None; seen holds the memo keys of the minors already walked.  A
+    module function, not a closure: a closure that calls itself is a
+    reference cycle, and would keep seen and the memo alive after the
+    walk until the cyclic collector ran."""
+    key = memo.key(R, T)
+    if key in seen:
         return None
-
-    return walk(memo.full, memo.full, [])
+    seen.add(key)
+    labels, phi = memo.labels, memo.one(R, T)
+    witness = {"ground": list(labels[T]), "trail": trail}
+    if not T & (T - 1):
+        return None if phi else dict(witness, condition=1,
+                                     detail="character is 0 on a singleton")
+    splits = sorted((S for S in submasks(T) if S != T and memo.nonzero(T, S)),
+                    key=lambda S: (S.bit_count(), labels[S]))
+    if not splits:
+        return dict(witness, condition=2, detail="no nonzero split exists")
+    for S in splits:
+        if phi and not (memo.one(R, S) and memo.one(R ^ S, T ^ S)):
+            return dict(witness, condition=3, subset=list(labels[S]),
+                        detail="character 1 on the whole but 0 on a piece")
+        for R2, T2, tag in ((R, S, "restrict"), (R ^ S, T ^ S, "contract")):
+            w = _convex_walk(memo, seen, R2, T2, trail + [(tag, labels[S])])
+            if w is not None:
+                return w
+    return None
 
 
 def coloring_complex(h, char, max_ground=GROUND_CAP):
@@ -332,7 +359,7 @@ def hilb(phi, group):
     if group.ground != phi.ground:
         raise DomainError("group acts on %r, complex lives on %r"
                           % (group.ground, phi.ground))
-    for g in group.generators:
+    for g in group.distinct_generators:
         if not complex_automorphism_check(phi, g):
             raise DomainError("generator %s is not an automorphism of the complex"
                               % g.cycle_string())
@@ -450,7 +477,7 @@ def _theta_equivariant(phi, group, src, kappa, project):
     fails exactly when some chain in the symmetric difference of tgt and
     g(tgt) has its projection in g(src).  g keeps sizes, so that
     difference is the kappa part of the face set's moves under g."""
-    for g in group.generators:
+    for g in group.distinct_generators:
         changed = phi._moves(g).get(kappa)
         if changed:
             img = g.mask_images()

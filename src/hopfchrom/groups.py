@@ -1,15 +1,15 @@
 """Permutation groups on labeled ground sets and exact class functions.
 
 Groups are generated by explicit permutations and closed by breadth-first
-multiplication (identity first, then products by the generators in input
-order).  That enumeration order is the canonical element order; conjugacy
-classes are ordered by the first appearance of any member in it, and the
-printed representative of a class is its lexicographically smallest cycle
-string.  All character arithmetic is exact: integers, fractions, and
-cyclotomic values only.  Facts the group already holds are read, not
-recomputed: is_abelian reads the class table (every class a singleton)
-and Permutation.order the cycle lengths (their lcm), so neither
-multiplies permutations.
+multiplication (identity first, then products by the distinct generators
+in input order).  That enumeration order is the canonical element order;
+conjugacy classes are ordered by the first appearance of any member in
+it, and the printed representative of a class is its lexicographically
+smallest cycle string.  All character arithmetic is exact: integers,
+fractions, and cyclotomic values only.  Facts the group already holds
+are read, not recomputed: is_abelian reads the class table (every class
+a singleton) and Permutation.order the cycle lengths (their lcm), so
+neither multiplies permutations.
 
 The group's action on label masks lives here too: label i of the sorted
 ground set is bit i, Permutation.mask_images gives one permutation's image
@@ -35,6 +35,7 @@ term for term; that field route is the reference in the tests.
 burnside_count averages integer counts, so it needs no field at all.
 """
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -47,6 +48,10 @@ from .errors import DomainError, ResourceCapError, UnsupportedGroupError, Verifi
 GROUP_ORDER_CAP = 10080
 # The most generator-exponent assignments the character search may try.
 CHARACTER_SEARCH_CAP = 10 ** 6
+# Cycle notation: parenthesized cycles with optional whitespace around
+# them; _CYCLE gives the text inside each pair of parentheses.
+_CYCLE_TEXT = re.compile(r"\s*(?:\([^()]*\)\s*)*")
+_CYCLE = re.compile(r"\(([^()]*)\)")
 
 
 @dataclass(frozen=True)
@@ -84,20 +89,16 @@ class Permutation:
 
     @classmethod
     def from_cycles(cls, text, ground):
-        """Parse cycle notation like "(a c)(b d)"; "()" is the identity.
-        A label may appear once in the whole text, inside one cycle as
-        across cycles."""
+        """Parse cycle notation like "(a c)(b d)" or "(a c) (b d)": cycles
+        in parentheses, with optional whitespace between them; "()" and ""
+        are the identity.  A label may appear once in the whole text,
+        inside one cycle as across cycles."""
         ground = tuple(sorted(ground))
-        mapping = {}
-        body = text.strip()
-        if body in ("", "()"):
-            return cls.identity(ground)
-        if not (body.startswith("(") and body.endswith(")")):
+        if not _CYCLE_TEXT.fullmatch(text):
             raise DomainError("cannot parse cycles from %r" % (text,))
-        for cyc in body[1:-1].split(")("):
+        mapping = {}
+        for cyc in _CYCLE.findall(text):
             labels = cyc.replace(",", " ").split()
-            if len(labels) == 0:
-                continue
             for a, b in zip(labels, labels[1:] + labels[:1]):
                 if a not in ground:
                     raise DomainError("cycle label %r is not in the ground set" % (a,))
@@ -192,8 +193,9 @@ class Permutation:
 class PermGroup:
     """A closed permutation group with its canonical element enumeration.
 
-    Attributes: ground, generators, elements (BFS order, identity first),
-    class_reps, class_sizes, and the per-element class index.
+    Attributes: ground, generators (as listed), distinct_generators,
+    elements (BFS order, identity first), class_reps, class_sizes, and the
+    per-element class index.
 
     The class of x is the closure of {x} under y -> g y g^-1 for each
     generator g.  Each such map c is a bijection of the finite group, so
@@ -201,6 +203,16 @@ class PermGroup:
     is then closed under their inverses too, hence under conjugation by
     every product of generators, which is every element.  So a class
     costs |class| * |generators| products, not |group|.
+
+    Both closures run over distinct_generators: the listed generators
+    with the identity and every repeat of an earlier one left out, in
+    the order of their first copies.  This changes neither closure.  At
+    each element x the BFS meets a repeat's product x * g after g's first
+    copy has added it or found it, and x * identity is x, already
+    indexed; so the elements and their order stay the same, and a parent
+    keeps the listed index of the first copy.  The class of x is its
+    closure under a set of maps, which repeats do not change, and the
+    identity conjugates nothing.  generators stays as listed.
     """
 
     def __init__(self, generators, ground=None, cap=GROUP_ORDER_CAP):
@@ -214,13 +226,17 @@ class PermGroup:
             if g.ground != ground:
                 raise DomainError("generator %s acts on a different ground set" % g.cycle_string())
         ident = Permutation.identity(ground)
+        first = {}  # each distinct generator -> the listed index of its first copy
+        for gi, g in enumerate(generators):
+            if g != ident:
+                first.setdefault(g, gi)
         elements = [ident]
         parents = [None]
         index = {ident: 0}
         queue = 0
         while queue < len(elements):
             x = elements[queue]
-            for gi, g in enumerate(generators):
+            for g, gi in first.items():
                 y = x * g
                 if y not in index:
                     index[y] = len(elements)
@@ -233,12 +249,13 @@ class PermGroup:
 
         self.ground = ground
         self.generators = tuple(generators)
+        self.distinct_generators = tuple(first)
         self.elements = tuple(elements)
         self._parents = tuple(parents)
         self._elem_index = index
 
         assigned = [None] * len(elements)
-        conjugators = [(g, g.inverse()) for g in generators]
+        conjugators = [(g, g.inverse()) for g in first]
         reps, sizes, members = [], [], []
         for i, x in enumerate(elements):
             if assigned[i] is not None:

@@ -157,8 +157,16 @@ def parse_structure(kind, obj, max_ground=None):
 
 
 def parse_group(raw, ground, cap=GROUP_ORDER_CAP):
+    """The group of a job's group field, a list of cycle strings or image
+    maps read like every other list field; an absent or null field is
+    the trivial group.  A map's images are read by _label, so a number
+    names the label of its text; an image whose text is no ground label
+    stays as written, so the refusal names it as the job does."""
     gens = []
-    for i, item in enumerate(_items(raw or [], "group")):
+    for i, item in enumerate(_items([] if raw is None else raw, "group")):
+        if isinstance(item, dict):
+            item = {x: label if (label := _label(y, "group[%d][%r]" % (i, x))) in ground else y
+                    for x, y in item.items()}
         try:
             gens.append(Permutation.parse(item, ground))
         except DomainError as exc:
@@ -286,10 +294,10 @@ def poly_to_json(p):
 
 def flags_to_json(phi):
     """The faces of a complex as lists of member texts, in the order and
-    with the texts the complex owns (phi.ordered, phi.member_text);
-    nothing is sorted or formatted here."""
-    text = phi.member_text
-    return [[text[m] for m in c] for c in phi.ordered]
+    with the texts the complex owns (phi.ordered, and the text half of
+    phi.members); nothing is sorted or formatted here."""
+    members = phi.members
+    return [[members[m][1] for m in c] for c in phi.ordered]
 
 
 def certificate_to_json(cert):

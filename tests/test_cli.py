@@ -240,6 +240,36 @@ def test_exit_code_mapping_generator_off_the_ground_set(tmp_path, capsys, mappin
     assert label + " " in err["message"] and "not in the ground set" in err["message"]
 
 
+@pytest.mark.parametrize("group", [
+    [{"1": 2, "2": 1}], [{"1": "2", "2": 1}], [{"2": 1, "1": 2, "3": 3}]])
+def test_mapping_images_are_labels(tmp_path, capsys, group):
+    """A number in a mapping generator names the label of its text, as a
+    number in the ground set does: every form of the swap writes the same
+    bytes.  An image that is no label is refused by its generator."""
+    job = {"kind": "graph", "character": "chromatic", "vertices": [1, 2, 3], "edges": [[1, 2]]}
+    outputs = []
+    for i, g in enumerate((["(1 2)"], group)):
+        path = _write_job(tmp_path, dict(job, group=g))
+        assert main(["psi", "--input", path, "--output", str(tmp_path / ("out%d" % i))]) == 0
+        outputs.append((tmp_path / ("out%d" % i)).read_bytes())
+    assert outputs[0] == outputs[1]
+    for g, message in (([{"1": [2]}], "group[0]['1'] is not a label"),
+                       (["()", {"2": 1, "1": None}], "group[1]['1'] is not a label"),
+                       ([{"1": True}], "group[0]['1'] is not a label")):
+        assert main(["psi", "--input", _write_job(tmp_path, dict(job, group=g))]) == 2
+        assert json.loads(capsys.readouterr().err)["message"] == message
+
+
+def test_absent_or_null_group_is_the_trivial_group(tmp_path):
+    outputs, job = set(), {k: v for k, v in FOUR_CYCLE_JOB.items() if k != "group"}
+    for extra in ({}, {"group": None}, {"group": []}, {"group": ["()"]}):
+        path = _write_job(tmp_path, dict(job, **extra))
+        out = tmp_path / "out"
+        assert main(["psi", "--input", path, "--output", str(out)]) == 0
+        outputs.add(out.read_bytes())
+    assert len(outputs) == 1
+
+
 @pytest.mark.parametrize("job,field", [
     ({"kind": "graph", "structure": 5}, "structure"),
     ({"kind": "graph", "vertices": 5}, "vertices"),

@@ -10,10 +10,14 @@ import gc
 import random
 from itertools import combinations
 
+import pytest
+
+from hopfchrom import structures
 from hopfchrom.chromatic import ClassQSym
-from hopfchrom.complexes import (BalancedRelativeComplex, coloring_complex,
-                                 comparable_pairs, complex_automorphism_check,
-                                 flag_f_vector, hilb, theta_certificate)
+from hopfchrom.complexes import (BalancedRelativeComplex, check_balanced_convex,
+                                 coloring_complex, comparable_pairs,
+                                 complex_automorphism_check, flag_f_vector, hilb,
+                                 theta_certificate)
 from hopfchrom.compositions import Flag, alpha_of_subset, compositions_of, subset_of_alpha
 from hopfchrom.errors import DomainError
 from hopfchrom.groups import ClassFunction, PermGroup, Permutation
@@ -219,6 +223,41 @@ def test_validation_leaves_no_reference_cycle(bowtie):
     assert cyclic == []
 
 
+def _cyclic_garbage(call):
+    """The objects that call leaves to the cyclic collector."""
+    gc.collect()
+    start, debug = len(gc.garbage), gc.get_debug()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        call()
+        gc.collect()
+    finally:
+        gc.set_debug(debug)
+        cyclic = gc.garbage[start:]
+        del gc.garbage[start:]
+    return cyclic
+
+
+def test_convexity_walk_leaves_no_reference_cycle(monkeypatch, bowtie):
+    """The convexity walk, on a convex job and on one that returns a
+    witness, leaves no cyclic garbage: its seen set and the splitting memo
+    are not kept alive until the cyclic collector next runs."""
+    chrom = CharacterSpec("chromatic")
+    c6 = Graph(tuple("abcdef"), [(x, y) for x, y in zip("abcdef", "bcdefa")])
+    assert check_balanced_convex(c6, chrom) is None
+    structures.splitting_memo.cache_clear()
+    assert _cyclic_garbage(lambda: check_balanced_convex(c6, chrom)) == []
+    one = structures.SplittingMemo.one
+    monkeypatch.setattr(structures.SplittingMemo, "one",
+                        lambda memo, R, S: memo.labels[S] != ("a",) and one(memo, R, S))
+    structures.splitting_memo.cache_clear()
+    witness = check_balanced_convex(bowtie, chrom)
+    assert witness["condition"] == 3 and witness["subset"] == ["a"]
+    structures.splitting_memo.cache_clear()
+    assert _cyclic_garbage(lambda: check_balanced_convex(bowtie, chrom)) == []
+    structures.splitting_memo.cache_clear()
+
+
 def test_random_flag_families_same_verdict():
     rng = random.Random(20261018)
     seen = {None: 0, "sandwich violation": 0, "purity violation": 0}
@@ -369,16 +408,51 @@ def test_one_face_order_and_one_face_text():
             assert phi.text(c) == (str(f) if c else "(empty)")
 
 
+def test_purity_witness_is_the_smallest_face_by_label_chain():
+    """The refused face is the unreached face smallest by label chain, with
+    no length compared first: {a}<{a,c} before {b}, which the sort key of
+    ordered, shorter chains first, would name instead."""
+    ground = ("a", "b", "c", "d")
+    chains = [(("a",), ("a", "b"), ("a", "b", "c")), (("a",), ("a", "b")), (("b",),),
+              (("a",), ("a", "c"))]
+    with pytest.raises(DomainError) as info:
+        BalancedRelativeComplex(ground, chains)
+    assert str(info.value) == "purity violation: face {a}<{a,c} extends to no 3-vertex face"
+
+
+def test_the_member_table_holds_each_member_mask_once():
+    """members has one entry per distinct member mask of the faces, ranked
+    in label-tuple order with its flag text, on every corpus complex and
+    40 unvalidated random families; a complex on 20 labels with one
+    two-member face has two."""
+    rng = random.Random(27)
+    ground = ("a", "b", "c", "d")
+    flags = _all_flags(ground)
+    complexes = [coloring_complex(h, char) for _, h, char, _ in CORPUS]
+    complexes += [BalancedRelativeComplex(ground, _random_family(rng, flags), validate=False)
+                  for _ in range(40)]
+    for phi in complexes:
+        labels = {m: tuple(x for i, x in enumerate(phi.ground) if m >> i & 1)
+                  for c in phi.faces for m in c}
+        ranked = sorted(labels, key=labels.__getitem__)
+        assert phi.members == {m: (ranked.index(m), "{%s}" % ",".join(labels[m]))
+                               for m in labels}
+    twenty = ["v%02d" % i for i in range(20)]
+    phi = BalancedRelativeComplex(twenty, [(("v03",), ("v03", "v11"))])
+    assert phi.members == {1 << 3: (0, "{v03}"), 1 << 3 | 1 << 11: (1, "{v03,v11}")}
+    assert flags_to_json(phi) == [["{v03}", "{v03,v11}"]]
+
+
 def test_the_face_set_is_sorted_once(monkeypatch, bowtie, z2):
     """The JSON faces, the flag f-vector, hilb and every certificate read
     one sort of the face set: the sort key runs once per face."""
-    keyed, labels = [], BalancedRelativeComplex.labels
+    keyed, key = [], BalancedRelativeComplex._key
 
     def counted(self, chain):
         keyed.append(chain)
-        return labels(self, chain)
+        return key(self, chain)
 
-    monkeypatch.setattr(BalancedRelativeComplex, "labels", counted)
+    monkeypatch.setattr(BalancedRelativeComplex, "_key", counted)
     phi = coloring_complex(bowtie, CharacterSpec("chromatic"))
     assert not keyed
     faces = flags_to_json(phi)

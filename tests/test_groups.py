@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -94,6 +95,20 @@ def test_cycle_notation_checks_each_label_in_order():
             assert str(exc) == message
         else:
             assert message is None and g.is_identity()
+
+
+@pytest.mark.parametrize("text, want", [
+    ("(a b) (c d)", "(a b)(c d)"), (" (a b)\t(c d) ", "(a b)(c d)"), ("() (a b)", "(a b)"),
+    ("((a b))", None), ("(a b)x(c d)", None), ("(a b", None), ("a b", None), (")(", None)])
+def test_cycle_notation_reads_parenthesized_cycles(text, want):
+    """Cycles in parentheses with optional whitespace between them; any
+    other text is refused as a whole, naming no label of its own."""
+    try:
+        g = Permutation.from_cycles(text, ABCD)
+    except DomainError as exc:
+        assert want is None and str(exc) == "cannot parse cycles from %r" % (text,)
+    else:
+        assert g.cycle_string() == want
 
 
 def test_group_closure_and_classes():
@@ -224,6 +239,55 @@ def test_unchecked_products_equal_validated_ones(monkeypatch):
         assert checked.elements == group.elements
         assert (checked.class_reps, checked.class_sizes, checked.class_members) == (
             group.class_reps, group.class_sizes, group.class_members)
+
+
+def _closure(group):
+    """Elements, parents (as parent index and generator permutation) and
+    class tables of a group."""
+    parents = [p and (p[0], group.generators[p[1]]) for p in group._parents]
+    return (group.elements, parents, group.class_reps, group.class_sizes,
+            group.class_members, group._class_index)
+
+
+def _relisted(rng, gens, ident, extra):
+    """gens in order, with up to extra repeats of earlier ones and
+    identities before each and after the last."""
+    listed = []
+    for g in list(gens) + [None]:
+        listed += [rng.choice(listed + [ident]) for _ in range(rng.randint(0, extra))]
+        if g is not None:
+            listed.append(g)
+    return listed
+
+
+def test_repeated_generators_and_identities_change_no_closure():
+    """A group listed with repeated generators and identities mixed in has
+    the elements, parents and class tables of the group listed once, keeps
+    its listed generators, and closes over the distinct ones: on S7xS2 with
+    its three generators listed 20 times and an identity after each, on
+    D8, and on every corpus group with random repeats and identities."""
+    rng = random.Random(27)
+    v = tuple("abcdefghi")
+    s7s2 = [Permutation.from_cycles(c, v) for c in ("(a b)", "(a b c d e f g)", "(h i)")]
+    ident = Permutation.identity(v)
+    cases = [(v, s7s2, [x for g in s7s2 for x in (g, ident)] * 20)]
+    groups = [dihedral(8)] + [group for _, _, _, group in corpus()]
+    for group in groups:
+        once = list(dict.fromkeys(g for g in group.generators if not g.is_identity()))
+        ident = Permutation.identity(group.ground)
+        cases.append((group.ground, once, _relisted(rng, once, ident, 3)))
+    orders, compared = [], 0
+    for ground, once, listed in cases:
+        want = PermGroup(once, ground=ground)
+        got = PermGroup(listed, ground=ground)
+        orders.append(got.order)
+        assert got.generators == tuple(listed)
+        assert got.distinct_generators == tuple(once)
+        assert _closure(got) == _closure(want)
+        if got.is_abelian() and len(listed) <= 6:
+            assert got.character_exponents == want.character_exponents
+            compared += 1
+    assert orders[:2] == [10080, 16] and compared > 100
 
 
 def test_group_order_cap():

@@ -58,6 +58,9 @@ BAD_JOBS = {
                   "faces": [["c", "x"], ["b", "y", "z"], ["b", "w"]]},
     "repeated_in_cycle": {"kind": "graph", "vertices": list("abcd"), "edges": [["a", "b"]],
                           "group": ["(a b)", "(c b d c b)"]},
+    "group_zero": {"kind": "graph", "vertices": list("abcd"), "edges": [["a", "b"]], "group": 0},
+    "group_object": {"kind": "graph", "vertices": list("abcd"), "edges": [["a", "b"]],
+                     "group": {}},
 }
 
 BAD_JOB_MESSAGES = {
@@ -72,6 +75,8 @@ BAD_JOB_MESSAGES = {
     "bad_undirected": "bad undirected edge ['b', 'w']",
     "bad_faces": "face ['b', 'w'] is not a subset of the ground set",
     "repeated_in_cycle": "group[1]: label 'c' repeated in cycle notation '(c b d c b)'",
+    "group_zero": "group is not a list",
+    "group_object": "group is not a list",
 }
 
 
