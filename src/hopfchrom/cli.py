@@ -18,6 +18,7 @@ them in the table, so a tracer that rebinds those names sees each call.
 """
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -141,15 +142,18 @@ def build_parser():
     return ap
 
 
-def _write(result, args):
+def _output(args):
+    """The file named by --output, open for writing, or stdout, left open."""
     if not args.output:
-        jobio.dump(result, sys.stdout)
-        return
+        return contextlib.nullcontext(sys.stdout)
     try:
-        fh = open(args.output, "w")
+        return open(args.output, "w")
     except OSError as exc:
         raise DomainError("cannot write %s: %s" % (args.output, exc.strerror))
-    with fh:
+
+
+def _write(result, args):
+    with _output(args) as fh:
         jobio.dump(result, fh)
 
 
@@ -245,16 +249,17 @@ def cmd_fixtures(args):
         _write(listing, args)
         return 0
     failed = 0
-    for fx in fixtures:
-        ok, diffs, _ = run_fixture(fx)
-        print("%s %s" % ("PASS" if ok else "FAIL", fx["name"]))
-        if fx.get("notes"):
-            print("     note: %s" % fx["notes"])
-        for d in diffs:
-            print("     %s" % d)
-            failed += 1
-        if not ok:
-            failed += 1
+    with _output(args) as fh:
+        for fx in fixtures:
+            ok, diffs, _ = run_fixture(fx)
+            print("%s %s" % ("PASS" if ok else "FAIL", fx["name"]), file=fh)
+            if fx.get("notes"):
+                print("     note: %s" % fx["notes"], file=fh)
+            for d in diffs:
+                print("     %s" % d, file=fh)
+                failed += 1
+            if not ok:
+                failed += 1
     return 0 if not failed else 1
 
 

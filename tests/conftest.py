@@ -1,9 +1,16 @@
+import os
+import sys
+
 import pytest
 
 from hopfchrom.groups import PermGroup, Permutation
 from hopfchrom.structures import Graph, MixedGraph, make_poset
 
 ABCD = ("a", "b", "c", "d")
+
+# scripts/cap_checks.py: its runner and builders are imported by name
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                                "scripts"))
 
 
 @pytest.fixture

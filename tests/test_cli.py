@@ -567,6 +567,28 @@ def test_fixtures_subcommand_exit():
     assert main(["fixtures", "--run", "--name", "four-cycle-psi"]) == 0
 
 
+def test_fixtures_run_writes_its_report_to_output(tmp_path, capsys):
+    """With --output, fixtures --run writes there exactly the lines it
+    prints without it, and prints nothing."""
+    assert main(["fixtures", "--run", "--name", "four-cycle-psi"]) == 0
+    printed = capsys.readouterr().out
+    assert printed.startswith("PASS four-cycle-psi\n")
+    out = tmp_path / "report.txt"
+    assert main(["fixtures", "--run", "--name", "four-cycle-psi", "--output", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text() == printed
+
+
+def test_fixtures_run_output_in_a_missing_directory(tmp_path, capsys):
+    out = str(tmp_path / "absent" / "report.txt")
+    assert main(["fixtures", "--run", "--output", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "domain"
+    assert err["message"] == "cannot write %s: No such file or directory" % out
+
+
 def test_fixtures_load_from_a_zipped_package(tmp_path):
     """Imported from a zip archive, with os.listdir raising as it does for
     a path inside one, the package still loads every bundled fixture."""
