@@ -89,7 +89,7 @@ def complex_faces_from_cli(graph, job):
     from hopfchrom.complexes import coloring_complex
     from hopfchrom.compositions import Flag, mask_labels
     from hopfchrom.structures import CharacterSpec
-    from test_complex_checks import _reference_faces_json
+    from label_reference import reference_faces_json
     with tempfile.TemporaryDirectory() as tmp:
         path, out = os.path.join(tmp, "job.json"), os.path.join(tmp, "complex.json")
         with open(path, "w") as fh:
@@ -100,7 +100,7 @@ def complex_faces_from_cli(graph, job):
             faces = json.load(fh)["faces"]
     phi = coloring_complex(graph, CharacterSpec("chromatic"))
     labels = mask_labels(phi.ground)
-    want = _reference_faces_json(Flag(phi.ground, tuple(labels[m] for m in c))
+    want = reference_faces_json(Flag(phi.ground, tuple(labels[m] for m in c))
                                  for c in phi.faces)
     assert faces == want
     return faces, wall, peak
@@ -116,8 +116,8 @@ def refusals():
     generators exit 3 in 3 s, a 200,000-deep job exits 2 in 2 s, S7xS2
     class tables in 3 s, also from its generators listed 20 times."""
     from hopfchrom.groups import PermGroup, Permutation
-    from test_refusals import (BAD_JOBS, DEEP_JOB_TEXT, HUGE_COORDINATE_JOBS, OVER_CAP_JOBS,
-                               REPEATED_GENERATOR_JOBS, write_jobs)
+    from refusal_jobs import (BAD_JOBS, DEEP_JOB_TEXT, HUGE_COORDINATE_JOBS, OVER_CAP_JOBS,
+                              REPEATED_GENERATOR_JOBS, write_jobs)
 
     def run(path, seed="0", command="psi"):
         code, _, err, wall, _ = cli(command, "--input", path, PYTHONHASHSEED=seed)
@@ -287,7 +287,7 @@ def u510_splitting():
     from hopfchrom.compositions import submasks
     from hopfchrom.structures import CharacterSpec
     from minor_reference import MinorMemo
-    from test_splitting import reference_next_blocks
+    from peel_reference import reference_next_blocks
     u510, z10 = uniform(5, 10)
     chrom = CharacterSpec("chromatic")
     memo, ref = structures.SplittingMemo(u510, chrom), MinorMemo(u510, chrom)
@@ -344,7 +344,7 @@ def octahedron_certify():
     import jobgen
     from hopfchrom import jobio
     from hopfchrom.cli import main
-    from test_jobio import reference_dump
+    from dump_reference import reference_dump
     with open(os.path.join(ROOT, "perfbench", "digests.json")) as fh:
         want = json.load(fh)["complex-certify"]["octa_certify"]
     (job,) = [j for i, _, j in jobgen.build_jobs("complex-certify", 1) if i == "octa_certify"]
@@ -401,12 +401,18 @@ CHECKS = (refusals, c9_psi, assoc6_psi, c8_complex, c8_complex_cli, k6k2_complex
           octahedron_certify, c12_reference)
 
 
+def child_env():
+    """This process's environment with src, tests, perfbench and scripts
+    on PYTHONPATH, ahead of the caller's."""
+    dirs = [os.path.join(ROOT, d) for d in ("src", "tests", "perfbench", "scripts")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, dirs + [os.environ.get("PYTHONPATH")])))
+
+
 def run(checks):
     """Run each check in a fresh interpreter that imports it from its
     module; 1 if any raised, else 0."""
-    dirs = [os.path.join(ROOT, d) for d in ("src", "tests", "perfbench", "scripts")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, dirs + [os.environ.get("PYTHONPATH")])))
+    env = child_env()
     failed = []
     for check in checks:
         start = time.perf_counter()

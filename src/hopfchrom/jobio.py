@@ -2,6 +2,8 @@
 
 A job file names a structure kind, the structure data, and optionally a
 character, a group (cycle strings or image maps), and a color count.
+FORMATS states the structure fields of each kind, for reading and for
+writing alike.
 Malformed fields raise DomainError naming the field.  Output dicts all
 carry schema "1" and go to dump as they are: exact values stay Fraction
 or Cyclo up to the writer, which writes an integral Fraction as an int
@@ -24,7 +26,7 @@ from json.encoder import encode_basestring_ascii
 from .chromatic import binomial_to_monomial, check_ground
 from .errors import DomainError
 from .groups import GROUP_ORDER_CAP, PermGroup, Permutation, _as_exact
-from .structures import (CharacterSpec, DoublePoset, Graph, Hypergraph,
+from .structures import (ITEMS, SHAPES, CharacterSpec, Graph, Hypergraph,
                          Matroid, MixedGraph, PointCollection,
                          SimplicialComplex, make_double_poset, make_poset)
 
@@ -112,48 +114,75 @@ def _coordinate(text):
     return Fraction(text)
 
 
+# The job format, one row per kind: the constructor, called with the
+# sorted ground and then one list per field, and each field as (JSON
+# name, required, attribute).  An absent optional field is the empty
+# list.  A field of a splitting kind fills the attribute ITEMS names and
+# is read and written by that attribute's SHAPES entry: as pairs when its
+# items have size 2, else as label sets, and kept in order when they
+# freeze to tuples, else sorted; hyperedges are label sets.  Three cases
+# are special: the graph's ground is its "vertices"; points are rows of
+# coordinates in the order of the ground as given; simplicial faces are
+# written shortest first.
+FORMATS = {
+    "graph": (Graph, (("edges", False, "edges"),)),
+    "poset": (make_poset, (("relations", False, "less"),)),
+    "matroid": (Matroid, (("bases", True, "bases"),)),
+    "mixed_graph": (MixedGraph, (("edges", False, "undirected"), ("arcs", False, "directed"))),
+    "double_poset": (make_double_poset, (("relations1", False, "less1"),
+                                         ("relations2", False, "less2"))),
+    "hypergraph": (Hypergraph, (("edges", False, "edges"),)),
+    "simplicial_complex": (SimplicialComplex, (("faces", False, "faces"),)),
+    "gen_permutohedron": (PointCollection, (("points", True, "points"),)),
+}
+
+
+def _shape(kind, attr):
+    """(freeze, size) of a label-item field: its SHAPES entry for a
+    splitting kind, label sets of any size for hyperedges."""
+    return SHAPES[attr][:2] if kind in ITEMS else (frozenset, None)
+
+
+def _points(rows, given):
+    """The points of a list field, each row's coordinates reordered from
+    the ground as given to the sorted ground."""
+    order = {v: i for i, v in enumerate(given)}
+    ground, points = sorted(given), []
+    for i, row in enumerate(rows):
+        if len(_items(row, "points[%d]" % i)) != len(given):
+            raise DomainError("points[%d] has %d coordinates, ground has %d"
+                              % (i, len(row), len(given)))
+        try:
+            vals = [_coordinate(str(c)) for c in row]
+        except (ValueError, ZeroDivisionError) as exc:
+            raise DomainError("points[%d]: %s" % (i, exc))
+        points.append(tuple(vals[order[v]] for v in ground))
+    return tuple(points)
+
+
 def parse_structure(kind, obj, max_ground=None):
-    """The structure of kind in obj.  With max_ground, a ground of more
-    distinct labels is refused (ResourceCapError) before any other field
-    is read or any structure is built."""
+    """The structure of kind in obj, read by its FORMATS row.  With
+    max_ground, a ground of more distinct labels is refused
+    (ResourceCapError) before any other field is read or any structure is
+    built."""
     if not isinstance(obj, dict):
         raise DomainError("structure is not a JSON object")
     field = "vertices" if kind == "graph" else "ground"
     given = _labels(_need(obj, field, kind), field)
     if max_ground is not None:
         check_ground(len(set(given)), max_ground)
-    if kind == "graph":
-        return Graph(tuple(given), _pairs(obj.get("edges", []), "edges"))
-    ground = tuple(sorted(given))
-    if kind == "poset":
-        return make_poset(ground, _pairs(obj.get("relations", []), "relations"))
-    if kind == "matroid":
-        return Matroid(ground, _label_sets(_need(obj, "bases", kind), "bases"))
-    if kind == "mixed_graph":
-        return MixedGraph(ground, _pairs(obj.get("edges", []), "edges"),
-                          _pairs(obj.get("arcs", []), "arcs"))
-    if kind == "double_poset":
-        return make_double_poset(ground,
-                                 _pairs(obj.get("relations1", []), "relations1"),
-                                 _pairs(obj.get("relations2", []), "relations2"))
-    if kind == "hypergraph":
-        return Hypergraph(ground, _label_sets(obj.get("edges", []), "edges"))
-    if kind == "simplicial_complex":
-        return SimplicialComplex(ground, _label_sets(obj.get("faces", []), "faces"))
-    if kind == "gen_permutohedron":
-        order = {v: i for i, v in enumerate(given)}
-        points = []
-        for i, row in enumerate(_need(obj, "points", kind)):
-            if len(_items(row, "points[%d]" % i)) != len(given):
-                raise DomainError("points[%d] has %d coordinates, ground has %d"
-                                  % (i, len(row), len(given)))
-            try:
-                vals = [_coordinate(str(c)) for c in row]
-            except (ValueError, ZeroDivisionError) as exc:
-                raise DomainError("points[%d]: %s" % (i, exc))
-            points.append(tuple(vals[order[v]] for v in ground))
-        return PointCollection(ground, tuple(points))
-    raise DomainError("unknown kind %r" % kind)
+    # a JSON list or object kind cannot be looked up: it is unhashable
+    if not isinstance(kind, str) or kind not in FORMATS:
+        raise DomainError("unknown kind %r" % (kind,))
+    make, fields = FORMATS[kind]
+    values = []
+    for name, required, attr in fields:
+        raw = _need(obj, name, kind) if required else obj.get(name, [])
+        if attr == "points":
+            values.append(_points(raw, given))
+        else:
+            values.append((_pairs if _shape(kind, attr)[1] == 2 else _label_sets)(raw, name))
+    return make(tuple(sorted(given)), *values)
 
 
 def parse_group(raw, ground, cap=GROUP_ORDER_CAP):
@@ -245,27 +274,17 @@ def group_to_json(group):
 
 
 def structure_to_json(h):
-    kind = h.kind
-    if kind == "graph":
-        return {"vertices": list(h.ground),
-                "edges": sorted(sorted(e) for e in h.edges)}
-    out = {"ground": list(h.ground)}
-    if kind == "poset":
-        out["relations"] = sorted(map(list, h.less))
-    elif kind == "matroid":
-        out["bases"] = sorted(sorted(b) for b in h.bases)
-    elif kind == "mixed_graph":
-        out["edges"] = sorted(sorted(e) for e in h.undirected)
-        out["arcs"] = sorted(map(list, h.directed))
-    elif kind == "double_poset":
-        out["relations1"] = sorted(map(list, h.less1))
-        out["relations2"] = sorted(map(list, h.less2))
-    elif kind == "hypergraph":
-        out["edges"] = [list(e) for e in h.edges]
-    elif kind == "simplicial_complex":
-        out["faces"] = sorted((sorted(f) for f in h.faces), key=lambda f: (len(f), f))
-    elif kind == "gen_permutohedron":
-        out["points"] = [[str(c) for c in p] for p in h.points]
+    """The structure field of a job holding h, written by its FORMATS row:
+    parse_structure reads it back to h."""
+    out = {"vertices" if h.kind == "graph" else "ground": list(h.ground)}
+    for name, _, attr in FORMATS[h.kind][1]:
+        items = getattr(h, attr)
+        if attr == "points":
+            out[name] = [[str(c) for c in p] for p in items]
+        else:
+            ordered = _shape(h.kind, attr)[0] is tuple
+            out[name] = sorted(map(list if ordered else sorted, items),
+                               key=(lambda f: (len(f), f)) if attr == "faces" else None)
     return out
 
 

@@ -16,6 +16,7 @@ from .chromatic import (ORACLE_GROUND_CAP, coloring_oracle,
                         psi, psi_polynomial, verify_flawless)
 from .complexes import (coloring_complex, comparable_pairs, hilb,
                         psi_hilb_diffs, theta_certificate)
+from .errors import DomainError
 from .groups import leq_char
 from .structures import DIRECT_ONLY_KINDS, check_compatible
 
@@ -42,7 +43,10 @@ def run_verification(h, char, group, k=None, max_ground=VERIFY_GROUND_CAP,
     certify picks the refinement pairs whose embedding certificates are
     checked: "comparable" (every pair) or "covering" (pairs that split one
     part, enough for the order, by composing embeddings); only their
-    verdicts are kept."""
+    verdicts are kept.  Any other value is refused with DomainError
+    before anything is computed."""
+    if certify not in ("comparable", "covering"):
+        raise DomainError("certify must be 'comparable' or 'covering', got %r" % (certify,))
     char = check_compatible(h, char)
     n = len(h.ground)
     report = {

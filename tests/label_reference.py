@@ -104,3 +104,9 @@ def flag_of(comp):
         acc.extend(b)
         chain.append(tuple(sorted(acc)))
     return Flag(comp.ground, tuple(chain))
+
+
+def reference_faces_json(flags):
+    """The former jobio.flags_to_json, on Flags."""
+    return [["{%s}" % ",".join(m) for m in f.chain]
+            for f in sorted(flags, key=lambda f: (len(f.chain), f.chain))]

@@ -11,9 +11,12 @@ collections, chromatic._scored_walk, which carries each prefix's score
 vector down the walk and keeps a composition at its last block),
 structures.coloring_test for colorings.  restrict,
 contract and char_value are read through the minor_reference module, so
-a fault injected there reaches this route as well."""
+a fault injected there reaches this route as well.  reference_next_blocks
+builds the former next-block table of the splitting kinds from these
+splits, one contracted minor per remaining label set."""
 
 import minor_reference
+from hopfchrom.compositions import mask_labels, submasks
 from hopfchrom.errors import DomainError
 from hopfchrom.structures import ITEMS, ORDER, _unique_argmax, check_compatible
 from minor_reference import _check_subset
@@ -78,3 +81,25 @@ def _points_proper(h, comp):
             weight[x] = i + 1
     w = tuple(weight[x] for x in h.ground)
     return 1 if _unique_argmax(h.points, w) else 0
+
+
+def reference_splits(minor, char, S, whole):
+    """The former chromatic._splits: whether block S may be peeled off the
+    minor."""
+    if whole:
+        return minor_reference.char_value(minor, char) == 1
+    return (not split_is_zero(minor, S)
+            and minor_reference.char_value(minor_reference.restrict(minor, S), char) == 1)
+
+
+def reference_next_blocks(h, char):
+    """The former next-block table of the splitting kinds: one contracted
+    minor per R and a restriction for every S inside it."""
+    labels = mask_labels(h.ground)
+    full = len(labels) - 1
+    table = [[]]
+    for R in range(1, full + 1):
+        minor = h if R == full else minor_reference.contract(h, labels[full ^ R])
+        table.append([S for S in submasks(R)
+                      if reference_splits(minor, char, labels[S], S == R)])
+    return table

@@ -1,8 +1,11 @@
-"""The runner of scripts/cap_checks.py cannot swallow a failure."""
+"""The runner of scripts/cap_checks.py cannot swallow a failure, and the
+checks run without pytest."""
 
+import ast
 import os
 import re
 import subprocess
+import sys
 import time
 
 import cap_checks
@@ -41,3 +44,20 @@ def test_runner_runs_every_check_in_a_child_and_exits_1_on_a_failure(capfd, monk
     assert status == [["PASS", "passes"], ["FAIL", "raises"], ["PASS", "twenty_labels"]]
     assert out.splitlines()[-1] == "failed: raises"
     assert "AssertionError: this stub always fails" in err
+
+
+def test_every_module_the_checks_import_loads_without_pytest():
+    """Each module scripts/cap_checks.py imports, at its top or inside a
+    check, loads in a child where importing pytest fails, so that the
+    checks run under an interpreter without the test runner."""
+    with open(cap_checks.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    modules = sorted({a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names}
+                     | {n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)})
+    assert {"dump_reference", "label_reference", "peel_reference", "refusal_jobs",
+            "hopfchrom.cli", "jobgen", "cap_checks"} <= set(modules)
+    code = "import sys\nsys.modules['pytest'] = None\n" + "".join(
+        "import %s\n" % m for m in modules)
+    proc = subprocess.run([sys.executable, "-c", code], env=cap_checks.child_env(),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -25,7 +25,8 @@ from hopfchrom.jobio import flags_to_json
 from hopfchrom.randgen import corpus
 from hopfchrom.structures import CharacterSpec, Graph
 from hopfchrom.verify import run_verification
-from label_reference import act_flag, enumerate_set_compositions, flag_of
+from label_reference import (act_flag, enumerate_set_compositions, flag_of,
+                             reference_faces_json)
 from test_kernel import set_compositions
 
 CORPUS = corpus()
@@ -359,12 +360,6 @@ def _mask_chain(ground, flag):
     return tuple(sum(bit[x] for x in s) for s in flag.chain)
 
 
-def _reference_faces_json(flags):
-    """The former jobio.flags_to_json, on Flags."""
-    return [["{%s}" % ",".join(m) for m in f.chain]
-            for f in sorted(flags, key=lambda f: (len(f.chain), f.chain))]
-
-
 def _check_faces(h, char):
     """The faces of the coloring complex are the mask chains of the flags
     of the proper compositions, one each, and they are written out in the
@@ -373,7 +368,7 @@ def _check_faces(h, char):
     flags = [flag_of(c) for c in set_compositions(h, char)]
     assert len(phi.faces) == len(flags)
     assert phi.faces == {_mask_chain(h.ground, f) for f in flags}
-    assert flags_to_json(phi) == _reference_faces_json(flags)
+    assert flags_to_json(phi) == reference_faces_json(flags)
 
 
 def test_corpus_faces_match_flag_route():

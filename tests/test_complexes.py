@@ -244,6 +244,20 @@ def test_run_verification_certificate_sections(bowtie, z2):
         assert checks["coefficient_order"] == {"ok": True, "abelian": True, "failures": []}
 
 
+@pytest.mark.parametrize("certify", ["Covering", "COMPARABLE", "covering ", "", None, "all"])
+def test_run_verification_refuses_an_unknown_certify(monkeypatch, bowtie, z2, certify):
+    """A certify value other than "comparable" or "covering" is a
+    DomainError naming it, raised before psi is computed; "Covering" is
+    not read as checking every comparable pair."""
+    def no_psi(*args, **kwargs):
+        raise AssertionError("psi computed for certify=%r" % (certify,))
+
+    monkeypatch.setattr("hopfchrom.verify.psi", no_psi)
+    with pytest.raises(DomainError) as exc:
+        run_verification(bowtie, CHROM, z2, certify=certify, include_oracle=False)
+    assert str(exc.value) == "certify must be 'comparable' or 'covering', got %r" % (certify,)
+
+
 def test_hilb_rejects_non_automorphism(bowtie):
     phi = coloring_complex(bowtie, CHROM)
     swap = PermGroup((Permutation.from_cycles("(a b)", ABCD),))

@@ -1,7 +1,7 @@
-"""Differential tests of jobio.dump against the writer it replaced, kept
-here as the reference: a full json_ready copy of the result (integral
-Fractions to ints, other exact values and non-string keys to strings,
-tuples to lists) handed to json.dump.  Both must write the same bytes on
+"""Differential tests of jobio.dump against the writer it replaced,
+dump_reference.reference_dump: a full json_ready copy of the result
+(integral Fractions to ints, other exact values and non-string keys to
+strings, tuples to lists) handed to json.dump.  Both must write the same bytes on
 every fixture, on command outputs of corpus cases, on the benchmark's
 complex and certify outputs, and on hand-built values of the kinds
 VerificationFailure.details can carry.  Where json_ready would change a
@@ -21,35 +21,7 @@ from hopfchrom.cli import load_fixtures, main, run_fixture
 from hopfchrom.cyclotomic import Cyclo
 from hopfchrom.randgen import corpus
 from cyclo_reference import FieldCyclo
-
-
-def json_ready(value):
-    """Recursively convert exact values to JSON-safe types."""
-    if isinstance(value, bool) or value is None or isinstance(value, str):
-        return value
-    if isinstance(value, int):
-        return value
-    if isinstance(value, (Fraction, Cyclo)):
-        if isinstance(value, Fraction) and value.denominator == 1:
-            return int(value)
-        return str(value)
-    if isinstance(value, dict):
-        return {json_ready_key(k): json_ready(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [json_ready(v) for v in value]
-    return str(value)
-
-
-def json_ready_key(key):
-    if isinstance(key, str):
-        return key
-    return str(key)
-
-
-def reference_dump(obj, stream):
-    json.dump(json_ready(obj), stream, indent=1, sort_keys=True)
-    stream.write("\n")
-
+from dump_reference import reference_dump
 
 DUMP = jobio.dump  # the fixture below rebinds jobio.dump to a recorder
 

@@ -2,7 +2,7 @@
 runs under some command, or ALLOWED names it with the reason it stays.
 
 The commands are every VARIANTS entry of test_cli_golden on every
-bundled fixture job, the refusal jobs of test_refusals and
+bundled fixture job, the refusal jobs of refusal_jobs and
 ``fixtures --run``, run in this process under sys.setprofile.  A
 function counts by its code object, so one wrapped by classmethod,
 staticmethod, property, cached_property or lru_cache counts when its
@@ -25,7 +25,7 @@ from functools import cached_property
 import hopfchrom
 from hopfchrom.cli import load_fixtures, main
 from test_cli_golden import VARIANTS
-from test_refusals import BAD_JOBS, HUGE_COORDINATE_JOBS, OVER_CAP_JOBS, write_jobs
+from refusal_jobs import BAD_JOBS, HUGE_COORDINATE_JOBS, OVER_CAP_JOBS, write_jobs
 
 LIBRARY = "documented library entry point"
 PERFBENCH = "called by perfbench"

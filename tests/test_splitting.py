@@ -24,7 +24,7 @@ from hopfchrom.structures import (CHARACTER_KINDS, DIRECT_ONLY_KINDS,
                                   make_poset)
 from hopfchrom.verify import run_verification
 from minor_reference import MinorMemo
-from peel_reference import split_is_zero
+from peel_reference import reference_next_blocks, split_is_zero
 from test_groups import dihedral
 from test_items import POSET7
 from test_kernel import cycle_graph
@@ -52,28 +52,6 @@ LARGER = [
     ("double6", make_double_poset(SEVEN[:6], [("a", "b"), ("c", "d"), ("b", "e")],
                                   [("b", "a"), ("d", "f")]), CharacterSpec("inversion_free")),
 ]
-
-
-def reference_splits(minor, char, S, whole):
-    """The former chromatic._splits: whether block S may be peeled off the
-    minor."""
-    if whole:
-        return minor_reference.char_value(minor, char) == 1
-    return (not split_is_zero(minor, S)
-            and minor_reference.char_value(minor_reference.restrict(minor, S), char) == 1)
-
-
-def reference_next_blocks(h, char):
-    """The former next-block table of the splitting kinds: one contracted
-    minor per R and a restriction for every S inside it."""
-    labels = mask_labels(h.ground)
-    full = len(labels) - 1
-    table = [[]]
-    for R in range(1, full + 1):
-        minor = h if R == full else minor_reference.contract(h, labels[full ^ R])
-        table.append([S for S in submasks(R)
-                      if reference_splits(minor, char, labels[S], S == R)])
-    return table
 
 
 def reference_convex(h, char):
