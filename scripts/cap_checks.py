@@ -359,8 +359,10 @@ def octahedron_certify():
         assert got == want, (got, want)
         dump, seen = jobio.dump, []
         jobio.dump = lambda obj, stream: seen.append(obj)
-        assert main(["certify", "--input", path, "--output", out]) == 0
-        jobio.dump = dump
+        try:
+            assert main(["certify", "--input", path, "--output", out]) == 0
+        finally:
+            jobio.dump = dump
 
     def best(writer):
         times = []

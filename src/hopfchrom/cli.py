@@ -12,18 +12,22 @@ cap and colors checks, reading the job (which must name a character), the
 color count (--colors, else the job's colors, else the ground size),
 the schema, command and character of the result, writing it, and the
 exit code, 1 exactly when the result's top-level "ok" is false (certify
-and verify).  A result function looks up psi, coloring_complex and the
-other computing functions as module globals when it runs, never holding
-them in the table, so a tracer that rebinds those names sees each call.
+and verify).  A command reads its job file through jobio.read_job; a
+bundled fixture goes through the same run_command with its job dict and
+an in-memory stream.  A result function looks up psi, coloring_complex
+and the other computing functions as module globals when it runs, never
+holding them in the table, so a tracer that rebinds those names sees
+each call; results go out through the module attribute jobio.dump for
+the same reason.  ERRORS maps each refusal to its "error" text and exit
+code, for main and the fixture runner alike.
 """
 
 import argparse
 import contextlib
 import functools
+import io
 import json
-import os
 import sys
-import tempfile
 
 from . import jobio
 from .chromatic import (GROUND_CAP, ORACLE_GROUND_CAP, binomial_to_monomial,
@@ -152,14 +156,11 @@ def _output(args):
         raise DomainError("cannot write %s: %s" % (args.output, exc.strerror))
 
 
-def _write(result, args):
-    with _output(args) as fh:
-        jobio.dump(result, fh)
-
-
-def run_command(args):
-    """Run the job command args.command of COMMANDS and write its result;
-    the exit code is 1 exactly when the result's top-level "ok" is false."""
+def run_command(args, job=None, stream=None):
+    """Run the job command args.command of COMMANDS and write its result
+    to stream, else to --output or stdout; the job is the file args.input,
+    read by jobio.read_job, or the job dict `job`, read by jobio.load_job.
+    The exit code is 1 exactly when the result's top-level "ok" is false."""
     if args.workers < 1:
         raise DomainError("workers must be at least 1, got %d" % args.workers)
     for option, cap in (("--max-ground", args.max_ground),
@@ -170,15 +171,33 @@ def run_command(args):
         print("FutureWarning: --workers is deprecated and ignored: every command "
               "runs serially", file=sys.stderr)
     flag = jobio.check_colors(getattr(args, "colors", None))
-    h, char, group, colors = jobio.read_job(args.input, group_cap=args.max_group_order,
-                                            max_ground=args.max_ground)
+    caps = {"group_cap": args.max_group_order, "max_ground": args.max_ground}
+    h, char, group, colors = (jobio.read_job(args.input, **caps) if job is None
+                              else jobio.load_job(job, **caps))
     if char is None:
         raise DomainError("missing field 'character'")
     k = next(c for c in (flag, colors, len(h.ground)) if c is not None)
     result = COMMANDS[args.command][2](args, h, char, group, k)
-    _write({"schema": jobio.SCHEMA, "command": args.command, "character": str(char),
-            **result}, args)
+    with _output(args) if stream is None else contextlib.nullcontext(stream) as fh:
+        jobio.dump({"schema": jobio.SCHEMA, "command": args.command,
+                    "character": str(char), **result}, fh)
     return 0 if result.get("ok", True) else 1
+
+
+# error class: its "error" text and exit code.  The one place a refusal
+# gets its exit code; a subclass (UnsupportedGroupError) takes its base's.
+ERRORS = {VerificationFailure: ("verification", 1), DomainError: ("domain", 2),
+          ResourceCapError: ("resource_cap", 3)}
+
+
+def _refusal(exc):
+    """The exit code and the stderr document of the refused command that
+    raised exc, a member of an ERRORS class."""
+    error, code = next(ERRORS[c] for c in type(exc).__mro__ if c in ERRORS)
+    doc = {"schema": jobio.SCHEMA, "error": error, "message": str(exc)}
+    if isinstance(exc, VerificationFailure):
+        doc["details"] = exc.details
+    return code, doc
 
 
 def load_fixtures(name=None):
@@ -219,23 +238,22 @@ def _subset_match(expected, actual, path=""):
 
 
 def run_fixture(fx):
-    """Recompute one fixture; returns (ok, diffs, result)."""
-    with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
-        json.dump(fx["job"], fh)
-        job_path = fh.name
-    out_path = job_path + ".out"
+    """Recompute one fixture in this process: run_command on its job dict
+    with the command's default options, the written bytes kept in memory
+    and read back; returns (ok, diffs, result).  The command must exit 0;
+    a refused one gives the single diff "exit <code>: <message>" and its
+    refusal document as the result."""
+    args = _parser().parse_args([fx["command"], "--input", fx["name"]])
+    out = io.StringIO()
     try:
-        code = main([fx["command"], "--input", job_path, "--output", out_path]
-                    + fx.get("args", []))
-        with open(out_path) as fh:
-            result = json.load(fh)
-    finally:
-        for p in (job_path, out_path):
-            if os.path.exists(p):
-                os.unlink(p)
+        code = run_command(args, fx["job"], out)
+    except tuple(ERRORS) as exc:
+        code, result = _refusal(exc)
+        return False, ["exit %d: %s" % (code, result["message"])], result
+    result = json.loads(out.getvalue())
     diffs = _subset_match(fx["expected"], result)
-    if fx.get("expect_exit", 0) != code:
-        diffs.append("exit: expected %d, got %d" % (fx.get("expect_exit", 0), code))
+    if code:
+        diffs.append("exit: expected 0, got %d" % code)
     return not diffs, diffs, result
 
 
@@ -246,7 +264,8 @@ def cmd_fixtures(args):
                    "fixtures": [{"name": f["name"], "description": f["description"],
                                  "expected_from": f["expected_from"]}
                                 for f in fixtures]}
-        _write(listing, args)
+        with _output(args) as fh:
+            jobio.dump(listing, fh)
         return 0
     failed = 0
     with _output(args) as fh:
@@ -257,10 +276,8 @@ def cmd_fixtures(args):
                 print("     note: %s" % fx["notes"], file=fh)
             for d in diffs:
                 print("     %s" % d, file=fh)
-                failed += 1
-            if not ok:
-                failed += 1
-    return 0 if not failed else 1
+            failed += not ok
+    return 1 if failed else 0
 
 
 @functools.cache
@@ -275,18 +292,10 @@ def main(argv=None):
         if args.command == "fixtures":
             return cmd_fixtures(args)
         return run_command(args)
-    except VerificationFailure as exc:
-        jobio.dump({"schema": jobio.SCHEMA, "error": "verification",
-                    "message": str(exc), "details": exc.details}, sys.stderr)
-        return 1
-    except DomainError as exc:
-        jobio.dump({"schema": jobio.SCHEMA, "error": "domain",
-                    "message": str(exc)}, sys.stderr)
-        return 2
-    except ResourceCapError as exc:
-        jobio.dump({"schema": jobio.SCHEMA, "error": "resource_cap",
-                    "message": str(exc)}, sys.stderr)
-        return 3
+    except tuple(ERRORS) as exc:
+        code, doc = _refusal(exc)
+        jobio.dump(doc, sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

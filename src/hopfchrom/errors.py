@@ -1,8 +1,10 @@
 """Shared exception types.
 
-The CLI maps these onto exit codes: DomainError -> 2 (bad input),
-ResourceCapError -> 3 (a configured cap was hit), VerificationFailure -> 1.
-Everything else is a genuine bug and is allowed to escape.
+cli.ERRORS is the one place that maps these onto exit codes, for every
+command and for each bundled fixture that `fixtures --run` recomputes:
+DomainError -> 2 (bad input), ResourceCapError -> 3 (a configured cap
+was hit), VerificationFailure -> 1.  Everything else is a genuine bug
+and is allowed to escape.
 """
 
 

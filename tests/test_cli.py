@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import zipfile
 
 import pytest
@@ -565,6 +566,49 @@ def test_fixture_listing_and_all_pass():
 def test_fixtures_subcommand_exit():
     assert main(["fixtures"]) == 0
     assert main(["fixtures", "--run", "--name", "four-cycle-psi"]) == 0
+
+
+FIXTURE_KEYS = {"name", "description", "expected_from", "command", "job", "expected"}
+
+
+def test_fixtures_hold_only_fields_the_runner_or_listing_reads():
+    """A fixture field nothing reads would be silently ignored."""
+    for fx in load_fixtures():
+        assert FIXTURE_KEYS <= set(fx) <= FIXTURE_KEYS | {"notes"}, fx["name"]
+
+
+def test_refused_fixture_is_one_failure_and_the_run_goes_on(monkeypatch, capsys):
+    """A fixture whose command is refused is a FAIL with its exit code and
+    message, not a traceback; the next fixture still runs, and the run
+    exits 1."""
+    bad = load_fixtures("four-cycle-psi")[0]
+    bad["job"]["character"] = "zeta_bad"
+    fixtures = [bad] + load_fixtures("bowtie-zeta")
+    monkeypatch.setattr(cli, "load_fixtures", lambda name=None: fixtures)
+    assert main(["fixtures", "--run"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [
+        "FAIL four-cycle-psi",
+        "     exit 2: unknown character 'zeta_bad'",
+        "PASS bowtie-zeta",
+    ]
+    assert captured.err == ""
+    ok, diffs, result = run_fixture(bad)
+    assert (ok, diffs) == (False, ["exit 2: unknown character 'zeta_bad'"])
+    assert result == {"schema": "1", "error": "domain",
+                      "message": "unknown character 'zeta_bad'"}
+
+
+def test_fixtures_run_creates_no_temporary_file(monkeypatch, capsys):
+    """Each fixture runs in this process, its result kept in memory."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("fixtures --run made a temporary file")
+
+    for name in ("NamedTemporaryFile", "mkstemp", "TemporaryDirectory"):
+        monkeypatch.setattr(tempfile, name, refuse)
+    assert main(["fixtures", "--run"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [l.split()[0] for l in lines if not l.startswith(" ")] == ["PASS"] * 14
 
 
 def test_fixtures_run_writes_its_report_to_output(tmp_path, capsys):
