@@ -75,7 +75,7 @@ def proper_compositions(h, char, max_ground=GROUND_CAP):
     if h.kind == "gen_permutohedron":
         sums = _coordinate_sums(h.integer_points, full)
         return list(_scored_walk(table, sums, full, sums[0]))
-    return list(_walk(table, full, table[full]))
+    return list(_walk(table, full))
 
 
 def check_ground(n, max_ground):
@@ -123,14 +123,14 @@ def _edges_ok(edges, covered, S):
     return True
 
 
-def _walk(table, R, blocks, prefix=()):
-    """Every block sequence that extends prefix by one of `blocks` and
-    then follows the table until no label is left, as tuples of masks."""
-    for S in blocks:
+def _walk(table, R, prefix=()):
+    """Every block sequence that extends prefix by following the table
+    from the labels R until no label is left, as tuples of masks."""
+    for S in table[R]:
         if S == R:
             yield prefix + (S,)
         else:
-            yield from _walk(table, R ^ S, table[R ^ S], prefix + (S,))
+            yield from _walk(table, R ^ S, prefix + (S,))
 
 
 def _coordinate_sums(points, full):

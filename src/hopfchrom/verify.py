@@ -16,7 +16,6 @@ from .chromatic import (ORACLE_GROUND_CAP, coloring_oracle,
                         psi, psi_polynomial, verify_flawless)
 from .complexes import (coloring_complex, comparable_pairs, hilb,
                         psi_hilb_diffs, theta_certificate)
-from .errors import DomainError
 from .groups import leq_char
 from .structures import DIRECT_ONLY_KINDS, check_compatible
 
@@ -24,7 +23,7 @@ VERIFY_GROUND_CAP = 8
 
 
 def run_verification(h, char, group, k=None, max_ground=VERIFY_GROUND_CAP,
-                     certify="comparable", include_oracle=True):
+                     include_oracle=True):
     """Full conformance report; every check that can fail is a section.
 
     Convexity is walked once, inside coloring_complex, which raises
@@ -40,13 +39,10 @@ def run_verification(h, char, group, k=None, max_ground=VERIFY_GROUND_CAP,
     before the burnside section is built; the section checks the bound
     0 <= count <= identity coefficient.
 
-    certify picks the refinement pairs whose embedding certificates are
-    checked: "comparable" (every pair) or "covering" (pairs that split one
-    part, enough for the order, by composing embeddings); only their
-    verdicts are kept.  Any other value is refused with DomainError
-    before anything is computed."""
-    if certify not in ("comparable", "covering"):
-        raise DomainError("certify must be 'comparable' or 'covering', got %r" % (certify,))
+    The comparable refinement pairs of compositions of n are listed once:
+    the embedding certificate of every pair is checked, keeping only its
+    verdict, and under an abelian group the coefficients of every pair
+    are compared in the effective order."""
     char = check_compatible(h, char)
     n = len(h.ground)
     report = {
@@ -68,15 +64,15 @@ def run_verification(h, char, group, k=None, max_ground=VERIFY_GROUND_CAP,
              for alpha, a, b in psi_hilb_diffs(X, hilb(phi, group))]
     checks["psi_equals_hilb"] = {"ok": not diffs, "diffs": diffs}
 
-    cert_pairs = comparable_pairs(n, covering_only=(certify == "covering"))
-    invalid = [(str(a), str(b)) for a, b in cert_pairs
+    pairs = comparable_pairs(n)
+    invalid = [(str(a), str(b)) for a, b in pairs
                if not theta_certificate(phi, group, a, b).valid]
-    checks["theta_certificates"] = {"ok": not invalid, "pairs_checked": len(cert_pairs),
+    checks["theta_certificates"] = {"ok": not invalid, "pairs_checked": len(pairs),
                                     "invalid": invalid}
     abelian = group.is_abelian()
     failures = []
     if abelian:
-        for a, b in comparable_pairs(n):
+        for a, b in pairs:
             ca, cb = X.coefficient(a), X.coefficient(b)
             if ca.is_zero() and cb.is_zero():
                 continue

@@ -61,3 +61,15 @@ def test_every_module_the_checks_import_loads_without_pytest():
     proc = subprocess.run([sys.executable, "-c", code], env=cap_checks.child_env(),
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_peak_is_the_checks_own_not_that_of_the_process_that_started_it():
+    """peak_mb in a fresh interpreter started by one that holds 100 MB
+    reads the fresh interpreter's own peak."""
+    code = ("import subprocess, sys\n"
+            "ballast = b'x' * (100 << 20)\n"
+            "sys.exit(subprocess.run([sys.executable, '-c', "
+            "'import cap_checks; print(cap_checks.peak_mb())']).returncode)\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=cap_checks.child_env(),
+                          capture_output=True, text=True, check=True)
+    assert float(proc.stdout) < 60, proc.stdout

@@ -231,31 +231,23 @@ def test_comparable_pairs_counts():
     assert all(b.length == a.length + 1 for a, b in cov)
 
 
-def test_run_verification_certificate_sections(bowtie, z2):
-    """The certificates keep verdicts only, on every comparable pair or on
-    the covering ones, and the coefficient order runs under an abelian
-    group."""
-    for certify, covering_only in (("comparable", False), ("covering", True)):
-        checks = run_verification(bowtie, CHROM, z2, certify=certify,
-                                  include_oracle=False)["checks"]
-        assert checks["theta_certificates"] == {
-            "ok": True, "pairs_checked": len(comparable_pairs(4, covering_only)),
-            "invalid": []}
-        assert checks["coefficient_order"] == {"ok": True, "abelian": True, "failures": []}
+def test_run_verification_certificate_sections(monkeypatch, bowtie, z2):
+    """The certificates keep verdicts only, on every comparable pair, and
+    the coefficient order runs under an abelian group; both read one
+    listing of the pairs."""
+    from hopfchrom import verify
+    calls = []
 
+    def counted(n):
+        calls.append(n)
+        return comparable_pairs(n)
 
-@pytest.mark.parametrize("certify", ["Covering", "COMPARABLE", "covering ", "", None, "all"])
-def test_run_verification_refuses_an_unknown_certify(monkeypatch, bowtie, z2, certify):
-    """A certify value other than "comparable" or "covering" is a
-    DomainError naming it, raised before psi is computed; "Covering" is
-    not read as checking every comparable pair."""
-    def no_psi(*args, **kwargs):
-        raise AssertionError("psi computed for certify=%r" % (certify,))
-
-    monkeypatch.setattr("hopfchrom.verify.psi", no_psi)
-    with pytest.raises(DomainError) as exc:
-        run_verification(bowtie, CHROM, z2, certify=certify, include_oracle=False)
-    assert str(exc.value) == "certify must be 'comparable' or 'covering', got %r" % (certify,)
+    monkeypatch.setattr(verify, "comparable_pairs", counted)
+    checks = run_verification(bowtie, CHROM, z2, include_oracle=False)["checks"]
+    assert calls == [4]
+    assert checks["theta_certificates"] == {
+        "ok": True, "pairs_checked": len(comparable_pairs(4)), "invalid": []}
+    assert checks["coefficient_order"] == {"ok": True, "abelian": True, "failures": []}
 
 
 def test_hilb_rejects_non_automorphism(bowtie):

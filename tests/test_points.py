@@ -52,7 +52,7 @@ def test_scored_walk_matches_the_filter():
     for h in _point_sets():
         table = chromatic._next_blocks(h, check_compatible(h, VG))
         full = len(table) - 1
-        every = list(chromatic._walk(table, full, table[full]))
+        every = list(chromatic._walk(table, full))
         got = proper_compositions(h, VG)
         assert got == list(points_filter(h, every)), h
         keeps_all.add(len(got) == len(every))

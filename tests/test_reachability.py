@@ -61,7 +61,7 @@ ALLOWED = {
     # runs when hopfchrom.cli is imported, before any command
     "cli._counted": "builds the COMMANDS rows at import",
 }
-# randgen.corpus builds the corpus-verify jobs and scripts/random_conformance.py
+# randgen.corpus builds the corpus-verify jobs and the corpora of acceptance criterion 10
 ALLOWED.update({"randgen." + name: PERFBENCH + ": the random corpus" for name in (
     "_ground", "_random_partition", "all_small_graphs", "corpus", "random_character",
     "random_double_poset", "random_graph", "random_group", "random_hypergraph",
