@@ -78,15 +78,31 @@ def peak_mb():
         return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
+# The command-line child of cli(): hopfchrom.cli.main on its arguments,
+# then, however it exits, its own peak_mb() written to the file that
+# CAP_CHECKS_PEAK names; cap_checks is imported after main has run.
+CLI_CHILD = ("import os, sys\nfrom hopfchrom.cli import main\ntry:\n    sys.exit(main())\n"
+             "finally:\n    import cap_checks\n"
+             "    with open(os.environ['CAP_CHECKS_PEAK'], 'w') as fh:\n"
+             "        fh.write(repr(cap_checks.peak_mb()))\n")
+
+
 def cli(*argv, **env):
-    """Run `python -m hopfchrom.cli argv` in a child with env added to the
-    environment: (exit code, stdout, stderr, wall seconds, peak RSS in MB
-    of the largest child this process has waited for)."""
-    start = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-m", "hopfchrom.cli", *argv],
-                          env=dict(os.environ, **env), capture_output=True)
-    wall = time.perf_counter() - start
-    peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+    """Run hopfchrom.cli.main on argv in a child with env added to the
+    environment: (exit code, stdout, stderr, wall seconds, the child's
+    own peak RSS in MB).  The child, which imports cap_checks from the
+    PYTHONPATH of child_env, reports its own VmHWM through peak_mb, since
+    RUSAGE_CHILDREN's ru_maxrss would carry this process's peak across
+    exec."""
+    with tempfile.TemporaryDirectory() as tmp:
+        peak_file = os.path.join(tmp, "peak")
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-c", CLI_CHILD, *argv],
+                              env=dict(os.environ, CAP_CHECKS_PEAK=peak_file, **env),
+                              capture_output=True)
+        wall = time.perf_counter() - start
+        with open(peak_file) as fh:
+            peak = float(fh.read())
     return proc.returncode, proc.stdout, proc.stderr, wall, peak
 
 

@@ -204,15 +204,16 @@ class PermGroup:
     every product of generators, which is every element.  So a class
     costs |class| * |generators| products, not |group|.
 
-    Both closures run over distinct_generators: the listed generators
-    with the identity and every repeat of an earlier one left out, in
-    the order of their first copies.  This changes neither closure.  At
-    each element x the BFS meets a repeat's product x * g after g's first
-    copy has added it or found it, and x * identity is x, already
-    indexed; so the elements and their order stay the same, and a parent
-    keeps the listed index of the first copy.  The class of x is its
-    closure under a set of maps, which repeats do not change, and the
-    identity conjugates nothing.  generators stays as listed.
+    Every group computation reads distinct_generators: the listed
+    generators with the identity and every repeat of an earlier one left
+    out, in the order of their first copies, and a BFS parent is (parent
+    index, index into distinct_generators).  This changes neither
+    closure.  At each element x the BFS meets a repeat's product x * g
+    after g's first copy has added it or found it, and x * identity is x,
+    already indexed; so the elements and their order stay the same.  The
+    class of x is its closure under a set of maps, which repeats do not
+    change, and the identity conjugates nothing.  generators stays as
+    listed, for the output only.
     """
 
     def __init__(self, generators, ground=None, cap=GROUP_ORDER_CAP):
@@ -226,17 +227,14 @@ class PermGroup:
             if g.ground != ground:
                 raise DomainError("generator %s acts on a different ground set" % g.cycle_string())
         ident = Permutation.identity(ground)
-        first = {}  # each distinct generator -> the listed index of its first copy
-        for gi, g in enumerate(generators):
-            if g != ident:
-                first.setdefault(g, gi)
+        distinct = tuple(dict.fromkeys(g for g in generators if g != ident))
         elements = [ident]
         parents = [None]
         index = {ident: 0}
         queue = 0
         while queue < len(elements):
             x = elements[queue]
-            for g, gi in first.items():
+            for gi, g in enumerate(distinct):
                 y = x * g
                 if y not in index:
                     index[y] = len(elements)
@@ -249,13 +247,13 @@ class PermGroup:
 
         self.ground = ground
         self.generators = tuple(generators)
-        self.distinct_generators = tuple(first)
+        self.distinct_generators = distinct
         self.elements = tuple(elements)
         self._parents = tuple(parents)
         self._elem_index = index
 
         assigned = [None] * len(elements)
-        conjugators = [(g, g.inverse()) for g in first]
+        conjugators = [(g, g.inverse()) for g in distinct]
         reps, sizes, members = [], [], []
         for i, x in enumerate(elements):
             if assigned[i] is not None:
@@ -320,7 +318,7 @@ class PermGroup:
         return len(self.class_reps) == self.order
 
     def exponent(self):
-        return lcm(*(x.order() for x in self.elements)) if self.elements else 1
+        return lcm(*(x.order() for x in self.elements))
 
 
 @dataclass(frozen=True)
@@ -421,14 +419,27 @@ def _search_irreducibles(group):
     """The exponent m and the exponent rows, in class order, of the
     homomorphisms G -> Z/m.
 
-    Each generator of order o is sent to a multiple of m/o.  The exponents
-    are extended along the BFS discovery tree by addition mod m, and an
-    assignment is kept when it is additive on every product x * g."""
+    Each distinct generator of order o is sent to a multiple of m/o.  The
+    exponents are extended along the BFS discovery tree by addition mod
+    m, and an assignment is kept when it is additive on every product
+    x * g.
+
+    Searching the distinct generators finds the rows of a search over
+    the listed ones, in the same order.  A listed assignment that passes
+    gives every copy of a generator the same step (each is e(x * g) -
+    e(x)) and the identity step 0 (e(x * 1) = e(x)), so the passing
+    listed tuples are the passing distinct tuples with each copy and
+    identity filled in, and give the same exponents.  Where two such
+    listed tuples first differ, the identities agree, so it is at a copy
+    of some g; g's first copy holds the same step and comes no later, so
+    it is that first copy.  The distinct tuples then agree before g and
+    differ at g the same way: lexicographic order on listed tuples is
+    lexicographic order on distinct tuples."""
     if not group.is_abelian():
         raise UnsupportedGroupError(
             "irreducible characters are only enumerated for abelian groups")
     m = group.exponent()
-    gens = group.generators
+    gens = group.distinct_generators
     if not gens:
         return m, ((0,),)
     orders = [g.order() for g in gens]

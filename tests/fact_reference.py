@@ -10,9 +10,12 @@ point collections and hypergraphs, each with its own loop or count,
 where structures states the rule once as _one_best.
 binomial_to_monomial rebuilds every falling factorial and factorial from
 scratch, and comparable_pairs takes the partial sums of a composition
-once per pair."""
+once per pair.  listed_search is the character search over the
+generators as listed, where groups._search_irreducibles reads the
+distinct ones; it has no work cap."""
 
 from fractions import Fraction
+from itertools import product
 
 from hopfchrom.compositions import compositions_of, subset_of_alpha
 
@@ -87,3 +90,28 @@ def comparable_pairs(n, covering_only=False):
             if sa < sb and (not covering_only or len(sb) == len(sa) + 1):
                 out.append((a, b))
     return out
+
+
+def listed_search(group):
+    """(m, rows) of groups._search_irreducibles, with an exponent tried
+    for every listed generator, copies and identities included; a BFS
+    parent's step is that of its distinct generator's first copy."""
+    m = group.exponent()
+    gens = group.generators
+    if not gens:
+        return m, ((0,),)
+    orders = [g.order() for g in gens]
+    first = [gens.index(g) for g in group.distinct_generators]
+    index = group._elem_index
+    times = [[index[x * g] for g in gens] for x in group.elements]
+    found = {}
+    for assignment in product(*(range(o) for o in orders)):
+        steps = [(m // o) * t for o, t in zip(orders, assignment)]
+        exps = [0] * len(group.elements)
+        for i in range(1, len(exps)):
+            pi, di = group._parents[i]
+            exps[i] = (exps[pi] + steps[first[di]]) % m
+        if all(exps[y] == (e + step) % m
+               for e, row in zip(exps, times) for y, step in zip(row, steps)):
+            found.setdefault(tuple(exps), None)
+    return m, tuple(tuple(exps[index[rep]] for rep in group.class_reps) for exps in found)

@@ -67,12 +67,24 @@ HUGE_COORDINATE_JOBS = {
 
 
 # A 3-vertex path whose group lists the swap of its ends thousands of
-# times: a group of order 2 that verify must refuse at the character
-# search cap, without working out commutators or a product of orders.
+# times: a group of order 2, which verify must read as the swap listed
+# once, without a product of orders over the copies.
 REPEATED_GENERATOR_JOBS = {
     "swap%d" % copies: {"kind": "graph", "vertices": ["a", "b", "c"],
                         "edges": [["a", "c"], ["b", "c"]], "group": ["(a b)"] * copies}
     for copies in (3000, 20000)}
+
+
+# K7 under Z12 = <(a b c)(d e f g)>, listing its 11 non-identity
+# elements, the powers 1 to 11 of (a b c)(d e f g): 11 distinct
+# generators whose orders multiply to 214,990,848, past the character
+# search cap.
+K7 = list("abcdefg")
+CHARACTER_CAP_JOB = {
+    "kind": "graph", "vertices": K7, "edges": [list(e) for e in combinations(K7, 2)],
+    "group": ["(a b c)(d e f g)", "(a c b)(d f)(e g)", "(d g f e)", "(a b c)",
+              "(a c b)(d e f g)", "(d f)(e g)", "(a b c)(d g f e)", "(a c b)", "(d e f g)",
+              "(a b c)(d f)(e g)", "(a c b)(d g f e)"]}
 
 # A job file of one array nested 200,000 deep, past json's recursion limit.
 DEEP_JOB_TEXT = "[" * 200000 + "]" * 200000

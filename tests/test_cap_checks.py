@@ -2,6 +2,7 @@
 checks run without pytest."""
 
 import ast
+import json
 import os
 import re
 import subprocess
@@ -73,3 +74,21 @@ def test_peak_is_the_checks_own_not_that_of_the_process_that_started_it():
     proc = subprocess.run([sys.executable, "-c", code], env=cap_checks.child_env(),
                           capture_output=True, text=True, check=True)
     assert float(proc.stdout) < 60, proc.stdout
+
+
+def test_cli_peak_is_the_childs_own_not_that_of_the_process_that_started_it():
+    """cli, called from a process that holds 100 MB, reports the peak of
+    the command-line child it starts, not the caller's, with the exit
+    code and output of `python -m hopfchrom.cli`."""
+    code = ("import json, cap_checks\n"
+            "ballast = b'x' * (100 << 20)\n"
+            "code, out, err, wall, peak = cap_checks.cli('fixtures')\n"
+            "print(json.dumps([code, out.decode(), err.decode(), peak]))\n")
+    env = cap_checks.child_env()
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True)
+    code, out, err, peak = json.loads(proc.stdout)
+    direct = subprocess.run([sys.executable, "-m", "hopfchrom.cli", "fixtures"], env=env,
+                            capture_output=True, text=True)
+    assert [code, out, err] == [direct.returncode, direct.stdout, direct.stderr]
+    assert peak < 60, peak

@@ -25,7 +25,7 @@ from cyclo_reference import FieldCyclo, inner_product, lifted
 
 def _reference_irreducibles(group):
     m = group.exponent()
-    gens = group.generators
+    gens = group.distinct_generators
     if not gens:
         return [ClassFunction.constant(group, FieldCyclo.from_rational(1, 1))]
     orders = [g.order() for g in gens]

@@ -8,8 +8,11 @@ and random base families (matroids and not); the exact text of every
 refusal, which names the smallest offender in sorted label order; the
 bad-input jobs of the command line under three hash seeds, whose stderr
 must not differ; over-cap jobs, which exit 3 before any structure or
-group is built; and point coordinates whose exponent would build an
-integer of millions of digits, which exit 2 before any is built."""
+group is built; point coordinates whose exponent would build an
+integer of millions of digits, which exit 2 before any is built; and
+groups that list a generator many times or with identities, which
+verify reads as their distinct generators, while distinct generators
+whose orders multiply past 10^6 exit 3 at the character search cap."""
 
 import json
 import os
@@ -28,10 +31,11 @@ from hopfchrom.errors import DomainError
 from hopfchrom.structures import (DoublePoset, Graph, Hypergraph, Matroid,
                                   MixedGraph, Poset, SimplicialComplex,
                                   make_double_poset, make_poset)
-from refusal_jobs import (BAD_JOBS, DEEP_JOB_TEXT, HUGE_COORDINATE_JOBS, OVER_CAP_JOBS,
-                          REPEATED_GENERATOR_JOBS, write_jobs)
+from refusal_jobs import (BAD_JOBS, CHARACTER_CAP_JOB, DEEP_JOB_TEXT, HUGE_COORDINATE_JOBS,
+                          OVER_CAP_JOBS, REPEATED_GENERATOR_JOBS, write_jobs)
 from structure_reference import (dfs_arcs, fixpoint_make_poset,
                                  frozenset_exchange, pair_scan_poset)
+from test_groups import _relisted
 
 BAD_JOB_MESSAGES = {
     "cyclic_relations": "relations contain a cycle through 'b'",
@@ -348,22 +352,61 @@ def test_coordinates_past_the_digit_bound_are_refused(text):
 # hostile jobs in a fresh process
 
 
-@pytest.mark.parametrize("name", sorted(REPEATED_GENERATOR_JOBS))
-def test_repeated_generators_exit_3_at_the_character_search_cap(tmp_path, name):
-    """verify on a group of order 2 listing its generator 3,000 or 20,000
-    times exits 3 within 3 s of starting a fresh interpreter, naming the
-    cap and the number of generators in a short message."""
-    job = REPEATED_GENERATOR_JOBS[name]
-    path = write_jobs(tmp_path, {name: job}, character="chromatic")[name]
+def _verify(path, timeout=None):
+    """verify on the job file in a fresh interpreter: (process, wall s)."""
     start = time.perf_counter()
     proc = subprocess.run([sys.executable, "-m", "hopfchrom.cli", "verify", "--input", path],
-                          capture_output=True, timeout=3)
+                          capture_output=True, timeout=timeout)
+    return proc, time.perf_counter() - start
+
+
+@pytest.mark.parametrize("name", sorted(REPEATED_GENERATOR_JOBS))
+def test_repeated_generators_verify_as_the_generator_listed_once(tmp_path, name):
+    """verify on a group of order 2 listing its generator 3,000 or 20,000
+    times exits 0 within 3 s of starting a fresh interpreter and prints
+    the bytes of the job that lists it once."""
+    job = REPEATED_GENERATOR_JOBS[name]
+    paths = write_jobs(tmp_path, {name: job, "once": dict(job, group=job["group"][:1])},
+                       character="chromatic")
+    proc, wall = _verify(paths[name], timeout=3)
+    assert proc.returncode == 0, proc.stderr
+    assert wall < 3
+    once, _ = _verify(paths["once"])
+    assert once.returncode == 0 and proc.stdout == once.stdout
+
+
+def test_distinct_generators_past_the_character_search_cap_exit_3(tmp_path):
+    """verify on K7 under Z12 listing its 11 non-identity elements, whose
+    orders multiply past 10^6, exits 3 at the character search cap within
+    3 s of starting a fresh interpreter, naming the cap and the number of
+    distinct generators."""
+    path = write_jobs(tmp_path, {"k7_z12": CHARACTER_CAP_JOB}, character="chromatic")["k7_z12"]
+    proc, wall = _verify(path, timeout=3)
     assert proc.returncode == 3, proc.stderr
-    message = json.loads(proc.stderr)["message"]
-    assert message == ("too many generator assignments for character search: "
-                       "%d generators, cap 1000000" % len(job["group"]))
-    assert len(message) < 200
-    assert time.perf_counter() - start < 3
+    assert json.loads(proc.stderr)["message"] == (
+        "too many generator assignments for character search: 11 generators, cap 1000000")
+    assert wall < 3
+
+
+def test_relisted_corpus_groups_verify_as_listed_once(tmp_path):
+    """verify on every corpus job whose group is relisted with random
+    repeats and identities writes the report bytes of the job that lists
+    each distinct generator once."""
+    rng = random.Random(34)
+    relisted = 0
+    for name, h, char, group in randgen.corpus():
+        once = [g.cycle_string() for g in group.distinct_generators]
+        listed = _relisted(rng, once, "()", 3)
+        relisted += listed != once
+        reports = []
+        for generators in (once, listed):
+            job = {"kind": h.kind, "structure": jobio.structure_to_json(h), "group": generators}
+            path = write_jobs(tmp_path, {"job": job}, character=str(char))["job"]
+            out = tmp_path / "report.json"
+            assert main(["verify", "--input", path, "--output", str(out)]) == 0, name
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1], name
+    assert relisted > 150
 
 
 def test_deeply_nested_job_exits_2_in_a_fresh_process(tmp_path):
