@@ -63,14 +63,16 @@ GROUND_CAP = 9
 ORACLE_GROUND_CAP = 8
 
 
-def proper_compositions(h, char, max_ground=GROUND_CAP):
+def proper_compositions(h, char, max_ground=GROUND_CAP, table=None):
     """All proper set compositions of h for the character, as tuples of
     block masks (label i of the sorted ground set is bit i), in listing
     order: the order in which the recursion follows the next-block table.
-    compositions.mask_labels gives the labels of a mask."""
+    compositions.mask_labels gives the labels of a mask.  table is the
+    job's _next_blocks(h, char) when the caller has built it already."""
     char = check_compatible(h, char)
     check_ground(len(h.ground), max_ground)
-    table = _next_blocks(h, char)
+    if table is None:
+        table = _next_blocks(h, char)
     full = len(table) - 1
     if h.kind == "gen_permutohedron":
         sums = _coordinate_sums(h.integer_points, full)

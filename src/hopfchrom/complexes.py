@@ -26,10 +26,17 @@ the witnessing subset chain.  The minors are label-mask pairs, never
 built as structures, and their character values and splits come from
 structures.splitting_memo, the same memo the enumeration kernel's
 next-block table reads, so one job evaluates the splitting calculus
-once.  Sandwich closure is checked locally, on tau - x for every face
-tau and member x, and purity by a search down from the top faces;
-BalancedRelativeComplex._validate proves both equivalent to the scans
-over all faces.
+once.  A coloring complex is validated on the kernel's next-block
+table before any face set is built: _table_rule reads sandwich closure
+and purity with full flags on top off the table's paths, in at most 4^n
+steps however many faces there are, and its docstring proves it
+equivalent to the face-set checks.  Those checks, in
+BalancedRelativeComplex._validate, stay the route of the library
+constructor and of point collections, and the fallback when the rule
+fails, so that a refusal names its witness faces.  They check sandwich
+closure locally, on tau - x for every face tau and member x, and purity
+by a search down from the top faces, and prove both equivalent to the
+scans over all faces.
 
 hilb packages fixed-face counts per size set into the same kind of
 quasisymmetric class function that psi produces, through the counter
@@ -55,6 +62,7 @@ from functools import cached_property
 from itertools import accumulate, combinations
 from operator import or_
 
+from . import chromatic
 from .compositions import (Flag, IntComposition, alpha_of_subset,
                            compositions_of, refines, submasks, subset_of_alpha)
 # psi is not called here; it stays importable next to hilb, and
@@ -89,12 +97,13 @@ class BalancedRelativeComplex:
             self._validate()
 
     @classmethod
-    def _of_chains(cls, ground, chains):
-        """The validated complex whose faces are the given mask chains on
-        the sorted ground set, taken as they are."""
+    def _of_chains(cls, ground, chains, validate=True):
+        """The complex whose faces are the given mask chains on the sorted
+        ground set, taken as they are, and validated unless told not to."""
         phi = cls.__new__(cls)
         phi.ground, phi.faces, phi._moved = ground, frozenset(chains), {}
-        phi._validate()
+        if validate:
+            phi._validate()
         return phi
 
     @property
@@ -308,11 +317,16 @@ def coloring_complex(h, char, max_ground=GROUND_CAP):
 
     The ground cap is checked first, so an over-cap job builds no
     splitting memo.  For splitting kinds the character's convexity
-    conditions are checked next and a violation raises with the witness;
-    the built complex is then validated structurally (sandwich, purity)
-    in all cases.  The flag of a composition is the chain of its prefix
-    unions, the full ground set dropped, taken straight from the kernel's
-    block masks."""
+    conditions are checked next and a violation raises with the witness.
+    Then the job's next-block table is built, once: the faces are the
+    flags of its paths, listed by proper_compositions, and _table_rule
+    validates them on the table before any face set is built.  When the
+    rule holds the faces are taken as they are.  When it fails, and for
+    point collections, whose scored walk drops table paths, the face set
+    is validated (sandwich, purity) and its dimension checked, so a
+    refusal names its witness faces.  The flag of a composition is the
+    chain of its prefix unions, the full ground set dropped, taken
+    straight from the kernel's block masks."""
     char = check_compatible(h, char)
     check_ground(len(h.ground), max_ground)
     witness = check_balanced_convex(h, char)
@@ -320,15 +334,90 @@ def coloring_complex(h, char, max_ground=GROUND_CAP):
         raise VerificationFailure(
             "character %s is not balanced convex on this structure: %s"
             % (char, witness["detail"]), witness)
+    table = chromatic._next_blocks(h, char)
+    valid = h.kind != "gen_permutohedron" and _table_rule(table)
     # the kernel's listing is not kept: it is freed once its chains are taken
     phi = BalancedRelativeComplex._of_chains(h.ground, (
         tuple(accumulate(c[:-1], or_))
-        for c in proper_compositions(h, char, max_ground=max_ground)))
-    if phi.faces and phi.dimension != len(h.ground) - 2:
+        for c in proper_compositions(h, char, max_ground=max_ground, table=table)),
+        validate=not valid)
+    if not valid and phi.faces and phi.dimension != len(h.ground) - 2:
         raise VerificationFailure(
             "coloring complex has dimension %d, expected %d"
             % (phi.dimension, len(h.ground) - 2))
     return phi
+
+
+def _table_rule(table):
+    """Whether the flags of the paths through a next-block table, from
+    the full mask to 0, are sandwich-closed and pure with full flags on
+    top: what _validate and coloring_complex's dimension check ask of
+    the face set, read off the table in at most 4^n steps, however many
+    faces its paths make.
+
+    A path full = R_0 > R_1 > ... > R_k = 0, each R_i - R_(i+1) a block
+    in table[R_i], is a proper composition, and its flag's members are
+    the complements of R_1, ..., R_(k-1).  So a chain of masks is a face
+    exactly when each of its steps is a table block, and dropping a
+    member merges two adjacent steps.  A step (R, B), B in table[R], is
+    live when a path passes through it: R is reached from the full mask
+    and R - B reaches 0.  Every step of a face is live.
+
+    Sandwich closure holds iff, for every live (R, B) and every X with
+    0 < X < B such that paths lead from R to R - X and from R - X to
+    R - B, X is in table[R] and B - X is in table[R - X].
+    (=>) A path to R, the step B, and a path from R - B to 0 make a face
+    rho; replacing B by the paths through R - X makes a face tau above
+    it.  The chain sigma that steps X and then B - X lies between them,
+    so it is a face, and its two new steps are blocks.
+    (<=) Let rho <= sigma <= tau with rho and tau faces.  For a step
+    (R, B) of rho, sigma's masks from R down to R - B, R > Y_1 > ... >
+    Y_m = R - B, all lie on tau, which leads from each to the next.  The
+    rule at X = R - Y_1 puts X in table[R] and B - X in table[Y_1], and
+    the step (Y_1, B - X) is live, through (R, X); induction on m makes
+    every step of sigma a block, so sigma is a face.
+
+    Purity with full flags on top holds iff every live (R, B) has a path
+    of singleton blocks from R to R - B.  (=>) The face through a live
+    step lies in a full flag, a path of singletons through R and R - B.
+    (<=) Replacing each step of a face by its path of singletons gives a
+    full flag above it.  A full flag has n - 1 members, so when some face
+    exists the top faces are full flags exactly when the dimension is
+    n - 2; with no face, both sides hold.
+
+    reach[R], single[R] and step[R] are bitsets, bit Y set when a path,
+    a path of singleton blocks, or one block leads from R to Y, each
+    filled from the rows below R, in increasing mask order.  The split
+    test visits each proper submask X of each block B of each row once:
+    at most 4^n triples."""
+    reach, single, step = [], [], []
+    for R, row in enumerate(table):
+        r = s = 1 << R
+        t = 0
+        for B in row:
+            r |= reach[R ^ B]
+            t |= 1 << (R ^ B)
+            if not B & (B - 1):
+                s |= single[R ^ B]
+        reach.append(r)
+        single.append(s)
+        step.append(t)
+    full = len(table) - 1
+    for R, row in enumerate(table):
+        if not reach[full] >> R & 1:
+            continue
+        for B in row:
+            low = R ^ B
+            if not reach[low] & 1:
+                continue
+            if not single[R] >> low & 1:
+                return False
+            for X in submasks(B):
+                Y = R ^ X
+                if (X != B and reach[R] >> Y & 1 and reach[Y] >> low & 1
+                        and not (step[R] >> Y & 1 and step[Y] >> low & 1)):
+                    return False
+    return True
 
 
 def flag_f_vector(phi):

@@ -1,6 +1,8 @@
 """Differential tests of the mask-based checks in complexes against the
 code they replaced, kept here as the references: the scan over all faces
-for sandwich closure and purity, the dense pair-by-pair incidence matrix
+for sandwich closure and purity, the face-set validation (_validate and
+the dimension check) that the next-block table rule replaces for
+coloring complexes, the dense pair-by-pair incidence matrix
 ranked by column-scan elimination, with its per-(source, target)
 equivariance test, hilb counted with act_flag on every face, and the
 faces built as one Flag per proper composition and written out in Flag
@@ -8,18 +10,20 @@ order."""
 
 import gc
 import random
-from itertools import combinations
+from itertools import accumulate, combinations
+from operator import or_
 
 import pytest
 
-from hopfchrom import structures
+from hopfchrom import chromatic, complexes, structures
 from hopfchrom.chromatic import ClassQSym
-from hopfchrom.complexes import (BalancedRelativeComplex, check_balanced_convex,
-                                 coloring_complex, comparable_pairs,
+from hopfchrom.complexes import (BalancedRelativeComplex, _table_rule,
+                                 check_balanced_convex, coloring_complex, comparable_pairs,
                                  complex_automorphism_check, flag_f_vector, hilb,
                                  theta_certificate)
-from hopfchrom.compositions import Flag, alpha_of_subset, compositions_of, subset_of_alpha
-from hopfchrom.errors import DomainError
+from hopfchrom.compositions import (Flag, alpha_of_subset, compositions_of, submasks,
+                                    subset_of_alpha)
+from hopfchrom.errors import DomainError, VerificationFailure
 from hopfchrom.groups import ClassFunction, PermGroup, Permutation
 from hopfchrom.jobio import flags_to_json
 from hopfchrom.randgen import corpus
@@ -478,3 +482,152 @@ def test_complex_route_builds_no_flags(monkeypatch, bowtie, z2):
     # the counter sees the Flags of the public constructor
     BalancedRelativeComplex(phi.ground, [(("a",),)])
     assert len(built) == 1
+
+
+# ---------------------------------------------------------------------------
+# the next-block table rule against the face-set route
+
+
+def _table_refusal(ground, table):
+    """The face-set route on the flags of the full paths through a
+    next-block table: _of_chains, which runs _validate, then
+    coloring_complex's dimension check.  The refusal's text, or None."""
+    n = len(ground)
+    chains = [tuple(accumulate(c[:-1], or_)) for c in chromatic._walk(table, len(table) - 1)]
+    try:
+        phi = BalancedRelativeComplex._of_chains(ground, chains)
+    except DomainError as exc:
+        return str(exc)
+    if phi.faces and phi.dimension != n - 2:
+        return "coloring complex has dimension %d, expected %d" % (phi.dimension, n - 2)
+    return None
+
+
+def _hereditary_table(rng, n):
+    """The blocks of a down-closed family (the submasks of one to three
+    random masks, and most singletons), each (R, S) pair then dropped
+    with a small probability: a hole."""
+    full = (1 << n) - 1
+    family = {S for _ in range(rng.randint(1, 3)) for S in submasks(rng.randint(1, full))}
+    family |= {1 << i for i in range(n) if rng.random() < 0.9}
+    hole = rng.choice((0.05, 0.1, 0.2))
+    return [[]] + [[S for S in submasks(R) if S in family and rng.random() >= hole]
+                   for R in range(1, full + 1)]
+
+
+def _unstructured_table(rng, n):
+    """Every (R, S) pair kept with one probability, singletons and S = R
+    with a higher one, so that some paths reach 0."""
+    full = (1 << n) - 1
+    p = rng.random()
+    return [[]] + [[S for S in submasks(R)
+                    if rng.random() < (0.9 if S == R or not S & (S - 1) else p)]
+                   for R in range(1, full + 1)]
+
+
+def test_random_tables_same_verdict():
+    """The table rule holds exactly when the face-set route accepts the
+    flags of the table's full paths, on seeded random tables at n = 2..5
+    of two kinds: hereditary families with holes, and unstructured ones."""
+    rng = random.Random(20261022)
+    seen = {True: 0, False: 0}
+    for n in (2, 3, 4, 5):
+        ground = tuple("abcde"[:n])
+        for make in (_hereditary_table, _unstructured_table):
+            for _ in range(150):
+                table = make(rng, n)
+                want = _table_refusal(ground, table) is None
+                assert _table_rule(table) == want, table
+                seen[want] += 1
+    assert min(seen.values()) >= 50, seen
+
+
+def _edgeless_abc():
+    return Graph(tuple("abc"), frozenset())
+
+
+def _four_cycle():
+    return Graph(tuple("abcd"), frozenset(map(frozenset, ("ab", "bc", "cd", "da"))))
+
+
+def _dropped(R, blocks):
+    """The perturbation that drops these blocks from table[R]."""
+    return lambda table: [[S for S in row if not (i == R and S in blocks)]
+                          for i, row in enumerate(table)]
+
+
+def _added(R, block):
+    """The perturbation that appends a block to table[R]."""
+    return lambda table: [row + [block] if i == R else row for i, row in enumerate(table)]
+
+
+# (name, structure, perturbation of its table, start of the refusal)
+FAULTS = (
+    # {a,b} split as a then b is still a path, so () <= ({a,b}) <= ({a},{a,b})
+    ("block dropped from a live row", _edgeless_abc, _dropped(0b111, {0b011}),
+     "sandwich violation"),
+    # the empty face lies below every full flag, and not every chain between is a face
+    ("block added", _four_cycle, _added(0b1111, 0b1111), "sandwich violation"),
+    # {b,c} is placed only as one block, so ({a}) lies in no full flag
+    ("singleton path broken", _edgeless_abc, _dropped(0b110, {0b010, 0b100}),
+     "purity violation"),
+    # no full path starts with a singleton, so no face is a full flag
+    ("no singleton leaves the full mask", _edgeless_abc, _dropped(0b111, {0b001, 0b010, 0b100}),
+     "coloring complex has dimension"),
+)
+
+
+@pytest.mark.parametrize("name, build, perturb, refusal", FAULTS, ids=[f[0] for f in FAULTS])
+def test_perturbed_tables_refuse_as_the_face_set_does(monkeypatch, name, build, perturb,
+                                                      refusal):
+    """A next-block table perturbed on its way into coloring_complex fails
+    the rule, and the complex is refused with the exact text, witness
+    faces included, that the face-set route gives on the same faces."""
+    h, chrom = build(), CharacterSpec("chromatic")
+    table = perturb(chromatic._next_blocks(h, chrom))
+    assert not _table_rule(table)
+    want = _table_refusal(h.ground, table)
+    assert want.startswith(refusal), want
+    monkeypatch.setattr(chromatic, "_next_blocks", lambda *args: [list(r) for r in table])
+    error = VerificationFailure if refusal.startswith("coloring") else DomainError
+    with pytest.raises(error) as info:
+        coloring_complex(h, chrom)
+    assert str(info.value) == want
+
+
+def test_table_rule_leaves_no_reference_cycle():
+    """The table rule, on a table that passes and on one that fails, leaves
+    no cyclic garbage."""
+    h, chrom = _edgeless_abc(), CharacterSpec("chromatic")
+    table = chromatic._next_blocks(h, chrom)
+    assert _table_rule(table)
+    assert _cyclic_garbage(lambda: _table_rule(table)) == []
+    broken = _dropped(0b111, {0b011})(table)
+    assert not _table_rule(broken)
+    assert _cyclic_garbage(lambda: _table_rule(broken)) == []
+
+
+def test_one_table_per_complex_and_no_face_scan(monkeypatch):
+    """coloring_complex builds the next-block table once and lists the
+    faces through proper_compositions from it; the face set is scanned by
+    _validate only for point collections, whose scored walk drops table
+    paths."""
+    calls = []
+
+    def counted(owner, name):
+        original = getattr(owner, name)
+
+        def count(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, count)
+
+    counted(chromatic, "_next_blocks")
+    counted(complexes, "proper_compositions")
+    counted(BalancedRelativeComplex, "_validate")
+    for name, h, char, group in CORPUS:
+        del calls[:]
+        coloring_complex(h, char)
+        scan = ["_validate"] if h.kind == "gen_permutohedron" else []
+        assert calls == ["_next_blocks", "proper_compositions"] + scan, name
