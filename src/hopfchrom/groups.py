@@ -24,14 +24,15 @@ operations raise UnsupportedGroupError rather than silently approximating.
 
 Each irreducible character of an abelian group of exponent m is kept by
 the group as a row of integer exponents e with chi(g) = zeta_m^e(g),
-found by adding generator exponents mod m along the BFS tree; its Cyclo
-values are only what a character prints as.  A multiplicity <chi, theta>
-sums size * zeta^-e * theta over the classes; every term is a power of
-zeta times a rational, so the sum is collected in m rational buckets
-indexed by the power mod m and reduced once modulo the m-th cyclotomic
-polynomial.  Reduction is a ring homomorphism from Q[x]/(x^m - 1) onto
-Q(zeta_m), so this equals the inner product in the cyclotomic field
-term for term; that field route is the reference in the tests.
+built by extending every character of a subgroup along one generator at
+a time; its Cyclo values are only what a character prints as.  A
+multiplicity <chi, theta> sums size * zeta^-e * theta over the classes;
+every term is a power of zeta times a rational, so the sum is collected
+in m rational buckets indexed by the power mod m and reduced once modulo
+the m-th cyclotomic polynomial.  Reduction is a ring homomorphism from
+Q[x]/(x^m - 1) onto Q(zeta_m), so this equals the inner product in the
+cyclotomic field term for term; that field route is the reference in
+the tests.
 burnside_count averages integer counts, so it needs no field at all.
 """
 
@@ -39,15 +40,12 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
 from math import lcm
 
 from .cyclotomic import Cyclo, reduce_mod_cyclotomic
 from .errors import DomainError, ResourceCapError, UnsupportedGroupError, VerificationFailure
 
 GROUP_ORDER_CAP = 10080
-# The most generator-exponent assignments the character search may try.
-CHARACTER_SEARCH_CAP = 10 ** 6
 # Cycle notation: parenthesized cycles with optional whitespace around
 # them; _CYCLE gives the text inside each pair of parentheses.
 _CYCLE_TEXT = re.compile(r"\s*(?:\([^()]*\)\s*)*")
@@ -206,8 +204,7 @@ class PermGroup:
 
     Every group computation reads distinct_generators: the listed
     generators with the identity and every repeat of an earlier one left
-    out, in the order of their first copies, and a BFS parent is (parent
-    index, index into distinct_generators).  This changes neither
+    out, in the order of their first copies.  This changes neither
     closure.  At each element x the BFS meets a repeat's product x * g
     after g's first copy has added it or found it, and x * identity is x,
     already indexed; so the elements and their order stay the same.  The
@@ -229,17 +226,15 @@ class PermGroup:
         ident = Permutation.identity(ground)
         distinct = tuple(dict.fromkeys(g for g in generators if g != ident))
         elements = [ident]
-        parents = [None]
         index = {ident: 0}
         queue = 0
         while queue < len(elements):
             x = elements[queue]
-            for gi, g in enumerate(distinct):
+            for g in distinct:
                 y = x * g
                 if y not in index:
                     index[y] = len(elements)
                     elements.append(y)
-                    parents.append((queue, gi))
                     if len(elements) > cap:
                         raise ResourceCapError(
                             "group order exceeds the cap %d; raise it explicitly if intended" % cap)
@@ -249,7 +244,6 @@ class PermGroup:
         self.generators = tuple(generators)
         self.distinct_generators = distinct
         self.elements = tuple(elements)
-        self._parents = tuple(parents)
         self._elem_index = index
 
         assigned = [None] * len(elements)
@@ -295,7 +289,7 @@ class PermGroup:
     def character_exponents(self):
         """(m, rows) for an abelian group: its exponent m and, per
         irreducible character chi and in class order, the exponents e with
-        chi = zeta_m^e (see _search_irreducibles).  Searched once per
+        chi = zeta_m^e (see _search_irreducibles).  Built once per
         group; a nonabelian group raises UnsupportedGroupError."""
         return _search_irreducibles(self)
 
@@ -405,12 +399,11 @@ def abelian_irreducibles(group):
     """All irreducible characters of an abelian group, as homomorphisms into
     the m-th roots of unity where m is the group exponent.
 
-    Deterministic order: generator-exponent assignments are tried
-    lexicographically and each new character is kept at first occurrence,
-    so the trivial character always comes first.  The group searches once
-    and keeps the characters (PermGroup.irreducibles) and their exponent
-    rows (PermGroup.character_exponents); every call returns a fresh list
-    of the (immutable) characters.
+    Deterministic order: lexicographic in the exponents of the distinct
+    generators, so the trivial character always comes first.  The group
+    builds the table once and keeps the characters (PermGroup.irreducibles)
+    and their exponent rows (PermGroup.character_exponents); every call
+    returns a fresh list of the (immutable) characters.
     """
     return list(group.irreducibles)
 
@@ -419,51 +412,48 @@ def _search_irreducibles(group):
     """The exponent m and the exponent rows, in class order, of the
     homomorphisms G -> Z/m.
 
-    Each distinct generator of order o is sent to a multiple of m/o.  The
-    exponents are extended along the BFS discovery tree by addition mod
-    m, and an assignment is kept when it is additive on every product
-    x * g.
+    Every character of a subgroup H of a finite abelian group extends to
+    the whole group, so the table grows one distinct generator g at a
+    time from the trivial character on {1}.  Let k be the least power
+    with g^k in H; the cosets H g^i for i < k partition H<g>, so k = 1
+    adds nothing.  An extension of e is fixed by its step s = e(g), with
+    e(x g^i) = e(x) + i s mod m, and is a homomorphism exactly when
+    k s = e(g^k) mod m.  e(g^k) is a multiple of k: g^k has order
+    ord(g)/k, so (ord(g)/k) e(g^k) is a multiple of m, and ord(g)
+    divides m.  The solutions in [0, m) are then s = e(g^k)/k + t m/k
+    for t = 0 .. k-1, so each character of H has k extensions and H<g>
+    gets |H| k = |H<g>| of them, all of its characters.
 
-    Searching the distinct generators finds the rows of a search over
-    the listed ones, in the same order.  A listed assignment that passes
-    gives every copy of a generator the same step (each is e(x * g) -
-    e(x)) and the identity step 0 (e(x * 1) = e(x)), so the passing
-    listed tuples are the passing distinct tuples with each copy and
-    identity filled in, and give the same exponents.  Where two such
-    listed tuples first differ, the identities agree, so it is at a copy
-    of some g; g's first copy holds the same step and comes no later, so
-    it is that first copy.  The distinct tuples then agree before g and
-    differ at g the same way: lexicographic order on listed tuples is
-    lexicographic order on distinct tuples."""
+    at maps the elements of H to their positions, coset H g^i after coset
+    H g^(i-1); a row lists a character's exponents in that order.  g^i
+    for 0 < i < k is in none of the cosets added before it, or g^(i-j)
+    would be in H for some j < i, so looking g^i up in the growing table
+    is looking it up in H.
+
+    Taking the characters of H in order and their steps ascending lists
+    each level in lexicographic order of the generator values, a skipped
+    generator's value being fixed by the earlier ones.  That is the order
+    in which a search over every assignment of steps (m/ord(g)) t to the
+    distinct generators, t ascending, keeps those additive on every
+    product; that search is the reference in the tests.  The work is at
+    most log2 |G| levels, each of at most |G|^2 entries; a redundant
+    generator costs one copy of the list of H and one lookup."""
     if not group.is_abelian():
         raise UnsupportedGroupError(
             "irreducible characters are only enumerated for abelian groups")
     m = group.exponent()
-    gens = group.distinct_generators
-    if not gens:
-        return m, ((0,),)
-    orders = [g.order() for g in gens]
-    work = 1
-    for o in orders:
-        work *= o
-        if work > CHARACTER_SEARCH_CAP:
-            raise ResourceCapError(
-                "too many generator assignments for character search: %d generators, cap %d"
-                % (len(gens), CHARACTER_SEARCH_CAP))
-
-    index = group._elem_index
-    times = [[index[x * g] for g in gens] for x in group.elements]
-    found = {}
-    for assignment in product(*(range(o) for o in orders)):
-        steps = [(m // o) * t for o, t in zip(orders, assignment)]
-        exps = [0] * len(group.elements)
-        for i in range(1, len(exps)):
-            pi, gi = group._parents[i]
-            exps[i] = (exps[pi] + steps[gi]) % m
-        if all(exps[y] == (e + step) % m
-               for e, row in zip(exps, times) for y, step in zip(row, steps)):
-            found.setdefault(tuple(exps), None)
-    rows = tuple(tuple(exps[index[rep]] for rep in group.class_reps) for exps in found)
+    at, rows = {group.elements[0]: 0}, [[0]]
+    for g in group.distinct_generators:
+        members, power = list(at), g
+        while power not in at:
+            for x in members:
+                at[x * power] = len(at)
+            power = power * g
+        k = len(at) // len(members)
+        if k > 1:
+            rows = [[(e + i * s) % m for i in range(k) for e in row]
+                    for row in rows for s in range(row[at[power]] // k, m, m // k)]
+    rows = tuple(tuple(row[at[rep]] for rep in group.class_reps) for row in rows)
     assert len(rows) == group.order, "character count %d != group order %d" % (
         len(rows), group.order)
     return m, rows

@@ -10,9 +10,12 @@ point collections and hypergraphs, each with its own loop or count,
 where structures states the rule once as _one_best.
 binomial_to_monomial rebuilds every falling factorial and factorial from
 scratch, and comparable_pairs takes the partial sums of a composition
-once per pair.  listed_search is the character search over the
-generators as listed, where groups._search_irreducibles reads the
-distinct ones; it has no work cap."""
+once per pair.  distinct_search is the former character search, which
+tried every assignment of exponents to the distinct generators and kept
+those additive on every product, where groups._search_irreducibles
+extends the characters one generator at a time; listed_search is the
+same search over the generators as listed.  Neither has a work cap.
+Both read the BFS tree of the group's closure from bfs_parents."""
 
 from fractions import Fraction
 from itertools import product
@@ -92,6 +95,47 @@ def comparable_pairs(n, covering_only=False):
     return out
 
 
+def bfs_parents(group):
+    """Per element, in the group's order, its BFS parent as (parent
+    index, index into distinct_generators); None for the identity."""
+    index = group._elem_index
+    parents = [None] * group.order
+    for pi, x in enumerate(group.elements):
+        for gi, g in enumerate(group.distinct_generators):
+            y = index[x * g]
+            if y and parents[y] is None:
+                parents[y] = (pi, gi)
+    return parents
+
+
+def distinct_search(group):
+    """(m, rows) of groups._search_irreducibles, by the former search:
+    each distinct generator of order o is sent to a multiple of m/o, the
+    exponents are extended along the BFS tree by addition mod m, and an
+    assignment is kept when it is additive on every product x * g.
+    Assignments are tried lexicographically; each new row is kept at
+    first occurrence."""
+    m = group.exponent()
+    gens = group.distinct_generators
+    if not gens:
+        return m, ((0,),)
+    orders = [g.order() for g in gens]
+    parents = bfs_parents(group)
+    index = group._elem_index
+    times = [[index[x * g] for g in gens] for x in group.elements]
+    found = {}
+    for assignment in product(*(range(o) for o in orders)):
+        steps = [(m // o) * t for o, t in zip(orders, assignment)]
+        exps = [0] * len(group.elements)
+        for i in range(1, len(exps)):
+            pi, gi = parents[i]
+            exps[i] = (exps[pi] + steps[gi]) % m
+        if all(exps[y] == (e + step) % m
+               for e, row in zip(exps, times) for y, step in zip(row, steps)):
+            found.setdefault(tuple(exps), None)
+    return m, tuple(tuple(exps[index[rep]] for rep in group.class_reps) for exps in found)
+
+
 def listed_search(group):
     """(m, rows) of groups._search_irreducibles, with an exponent tried
     for every listed generator, copies and identities included; a BFS
@@ -102,6 +146,7 @@ def listed_search(group):
         return m, ((0,),)
     orders = [g.order() for g in gens]
     first = [gens.index(g) for g in group.distinct_generators]
+    parents = bfs_parents(group)
     index = group._elem_index
     times = [[index[x * g] for g in gens] for x in group.elements]
     found = {}
@@ -109,7 +154,7 @@ def listed_search(group):
         steps = [(m // o) * t for o, t in zip(orders, assignment)]
         exps = [0] * len(group.elements)
         for i in range(1, len(exps)):
-            pi, di = group._parents[i]
+            pi, di = parents[i]
             exps[i] = (exps[pi] + steps[first[di]]) % m
         if all(exps[y] == (e + step) % m
                for e, row in zip(exps, times) for y, step in zip(row, steps)):

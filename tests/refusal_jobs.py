@@ -77,10 +77,11 @@ REPEATED_GENERATOR_JOBS = {
 
 # K7 under Z12 = <(a b c)(d e f g)>, listing its 11 non-identity
 # elements, the powers 1 to 11 of (a b c)(d e f g): 11 distinct
-# generators whose orders multiply to 214,990,848, past the character
-# search cap.
+# generators whose orders multiply to 214,990,848, which verify must
+# read as the group generated by the first, with no search over
+# assignments of exponents to them.
 K7 = list("abcdefg")
-CHARACTER_CAP_JOB = {
+DISTINCT_GENERATORS_JOB = {
     "kind": "graph", "vertices": K7, "edges": [list(e) for e in combinations(K7, 2)],
     "group": ["(a b c)(d e f g)", "(a c b)(d f)(e g)", "(d g f e)", "(a b c)",
               "(a c b)(d e f g)", "(d f)(e g)", "(a b c)(d g f e)", "(a c b)", "(d e f g)",

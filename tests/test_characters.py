@@ -3,9 +3,16 @@
 leq_char) against the Cyclo route it replaced, whose field arithmetic
 is cyclo_reference: characters found by multiplying roots along the BFS
 tree, and multiplicities taken as exact inner products in the field.  The corpus reaches group exponent 5 only, so
-the groups here are built to cover exponents 1 to 12, cyclic and not."""
+the groups here are built to cover exponents 1 to 12, cyclic and not;
+two list a generator whose least power in the subgroup of the ones
+before it is not the identity.
+The character table built by extension equals the former assignment
+search (fact_reference.distinct_search) on all of these groups, and is
+checked for its defining properties on groups whose generator orders
+multiply past what that search could try."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -19,6 +26,8 @@ from hopfchrom.groups import (ClassFunction, PermGroup, Permutation, _as_exact,
                               is_effective, leq_char)
 from hopfchrom.randgen import corpus
 from cyclo_reference import FieldCyclo, inner_product, lifted
+from fact_reference import bfs_parents, distinct_search
+from refusal_jobs import DISTINCT_GENERATORS_JOB
 
 
 # --- reference: the Cyclo route -------------------------------------------
@@ -29,13 +38,14 @@ def _reference_irreducibles(group):
     if not gens:
         return [ClassFunction.constant(group, FieldCyclo.from_rational(1, 1))]
     orders = [g.order() for g in gens]
+    parents = bfs_parents(group)
     found = {}
     assignment = [0] * len(orders)
     while True:
         roots = [FieldCyclo.root(m, (m // o) * t) for o, t in zip(orders, assignment)]
         vals = [FieldCyclo.from_rational(m, 1)]
         for i in range(1, len(group.elements)):
-            pi, gi = group._parents[i]
+            pi, gi = parents[i]
             vals.append(vals[pi] * roots[gi])
         by_elem = dict(zip(group.elements, vals))
         if all(by_elem[x * g] == by_elem[x] * r
@@ -85,6 +95,10 @@ def _cyclic_product(*orders):
     return PermGroup(gens, ground=ground)
 
 
+def _listed(ground, *cycles):
+    return PermGroup([Permutation.from_cycles(c, ground) for c in cycles], ground=ground)
+
+
 GROUPS = {
     "trivial": PermGroup((), ground=("a", "b")),
     "identity": _cyclic_product(1),
@@ -103,6 +117,11 @@ GROUPS = {
     "Z3xZ3": _cyclic_product(3, 3),
     "Z3xZ4": _cyclic_product(3, 4),
     "Z2xZ5": _cyclic_product(2, 5),
+    # Z8 from g^4, g^2, g, and Z2xZ4 from a^2, ab, b: g^2 and (ab)^2 = a^2
+    # fall in the subgroup before them.
+    "Z8_tower": _listed(tuple("abcdefgh"), "(a e)(b f)(c g)(d h)", "(a c e g)(b d f h)",
+                        "(a b c d e f g h)"),
+    "Z2xZ4_tower": _listed(tuple("abcdef"), "(a c)(b d)", "(a b c d)(e f)", "(e f)"),
 }
 EXPONENTS = {1, 2, 3, 4, 5, 6, 8, 9, 10, 12}
 
@@ -150,6 +169,7 @@ def test_exponent_rows_reproduce_the_characters(name):
     assert [chi.values for chi in chars] == [
         chi.values for chi in _reference_irreducibles(group)]
     m, rows = group.character_exponents
+    assert (m, rows) == distinct_search(group)
     assert m == group.exponent() and len(rows) == len(chars) == group.order
     for chi, row in zip(chars, rows):
         assert chi.values == tuple(Cyclo.root(m, e) for e in row)
@@ -221,3 +241,54 @@ def test_corpus_coefficient_pairs_match_the_cyclo_route():
             assert is_effective(theta) == _reference_is_effective(theta)
             checked += 1
     assert checked > 1000
+
+
+def test_corpus_character_rows_equal_the_distinct_search():
+    compared = 0
+    for _, _, _, group in corpus():
+        if group.is_abelian():
+            assert group.character_exponents == distinct_search(group)
+            compared += 1
+    assert compared > 150
+
+
+def _elementary(p, rank):
+    """(Z_p)^rank as p-cycles on rank * p labels, once with its rank
+    generators and once listing all p^rank - 1 non-identity elements in
+    that group's order."""
+    ground = tuple("x%02d" % i for i in range(p * rank))
+    cycles = ["(%s)" % " ".join(ground[i * p:(i + 1) * p]) for i in range(rank)]
+    once = PermGroup([Permutation.from_cycles(c, ground) for c in cycles], ground=ground)
+    return once, PermGroup(once.elements[1:], ground=ground)
+
+
+def _k7_z12():
+    ground = DISTINCT_GENERATORS_JOB["vertices"]
+    listed = [Permutation.from_cycles(c, ground) for c in DISTINCT_GENERATORS_JOB["group"]]
+    return PermGroup(listed[:1], ground=ground), PermGroup(listed, ground=ground)
+
+
+@pytest.mark.parametrize("build, distinct", [
+    (_k7_z12, 11), (lambda: _elementary(3, 3), 26), (lambda: _elementary(2, 4), 15)],
+    ids=["K7_Z12", "Z3^3", "Z2^4"])
+def test_characters_past_the_former_search(build, distinct):
+    """On groups whose distinct generator orders multiply to 214,990,848,
+    3^26 and 2^15, far past what the assignment search could try, the
+    table has |G| distinct rows, each additive on every product x * g by
+    a distinct generator, sorted by their values at the distinct
+    generators, and equal as functions on the elements to the rows of the
+    group listed once; within 1 s per group."""
+    start = time.perf_counter()
+    once, group = build()
+    m, rows = group.character_exponents
+    assert time.perf_counter() - start < 1
+    gens = group.distinct_generators
+    assert len(gens) == distinct and len(set(rows)) == len(rows) == group.order
+    index = {x: group.class_of(x) for x in group.elements}
+    for row in rows:
+        assert all(row[index[x * g]] == (row[index[x]] + row[index[g]]) % m
+                   for x in group.elements for g in gens)
+    keys = [tuple(row[index[g]] for g in gens) for row in rows]
+    assert keys == sorted(keys)
+    as_maps = [dict(zip(group.class_reps, row)) for row in rows]
+    assert as_maps == [dict(zip(once.class_reps, row)) for row in once.character_exponents[1]]

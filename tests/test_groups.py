@@ -243,10 +243,8 @@ def test_unchecked_products_equal_validated_ones(monkeypatch):
 
 
 def _closure(group):
-    """Elements, parents (as parent index and generator permutation) and
-    class tables of a group."""
-    parents = [p and (p[0], group.distinct_generators[p[1]]) for p in group._parents]
-    return (group.elements, parents, group.class_reps, group.class_sizes,
+    """Elements and class tables of a group."""
+    return (group.elements, group.class_reps, group.class_sizes,
             group.class_members, group._class_index)
 
 
@@ -263,7 +261,7 @@ def _relisted(rng, gens, ident, extra):
 
 def test_repeated_generators_and_identities_change_no_closure():
     """A group listed with repeated generators and identities mixed in has
-    the elements, parents and class tables of the group listed once, keeps
+    the elements and class tables of the group listed once, keeps
     its listed generators, and closes over the distinct ones: on S7xS2 with
     its three generators listed 20 times and an identity after each, on
     D8, and on every corpus group with random repeats and identities."""
@@ -295,7 +293,7 @@ def test_character_rows_of_relisted_groups_match_the_listed_search():
     """The character rows of every abelian corpus group, relisted with
     random repeats and identities, equal those of the search over listed
     generators (fact_reference) on the relisted group and on the group
-    listed once."""
+    listed once, and those of the search over its distinct generators."""
     rng = random.Random(33)
     compared = 0
     for _, _, _, group in corpus():
@@ -306,6 +304,7 @@ def test_character_rows_of_relisted_groups_match_the_listed_search():
         got = PermGroup(_relisted(rng, once, ident, 3), ground=group.ground)
         want = ref.listed_search(PermGroup(once, ground=group.ground))
         assert got.character_exponents == ref.listed_search(got) == want
+        assert got.character_exponents == ref.distinct_search(got)
         compared += 1
     assert compared > 150
 
@@ -391,7 +390,7 @@ def test_abelian_irreducibles_are_cached_per_group():
 
 
 def test_the_group_searches_its_characters_once(monkeypatch):
-    """PermGroup keeps its characters and their exponent rows: one search
+    """PermGroup keeps its characters and their exponent rows: one table
     serves every abelian_irreducibles and irreducible_multiplicities call."""
     calls, search = [], groups._search_irreducibles
     monkeypatch.setattr(groups, "_search_irreducibles", lambda g: calls.append(g) or search(g))

@@ -11,8 +11,9 @@ must not differ; over-cap jobs, which exit 3 before any structure or
 group is built; point coordinates whose exponent would build an
 integer of millions of digits, which exit 2 before any is built; and
 groups that list a generator many times or with identities, which
-verify reads as their distinct generators, while distinct generators
-whose orders multiply past 10^6 exit 3 at the character search cap."""
+verify reads as their distinct generators, and a group listing 11
+distinct generators whose orders multiply past 10^8, which verify reads
+as the group listed once."""
 
 import json
 import os
@@ -31,8 +32,8 @@ from hopfchrom.errors import DomainError
 from hopfchrom.structures import (DoublePoset, Graph, Hypergraph, Matroid,
                                   MixedGraph, Poset, SimplicialComplex,
                                   make_double_poset, make_poset)
-from refusal_jobs import (BAD_JOBS, CHARACTER_CAP_JOB, DEEP_JOB_TEXT, HUGE_COORDINATE_JOBS,
-                          OVER_CAP_JOBS, REPEATED_GENERATOR_JOBS, write_jobs)
+from refusal_jobs import (BAD_JOBS, DEEP_JOB_TEXT, DISTINCT_GENERATORS_JOB,
+                          HUGE_COORDINATE_JOBS, OVER_CAP_JOBS, REPEATED_GENERATOR_JOBS, write_jobs)
 from structure_reference import (dfs_arcs, fixpoint_make_poset,
                                  frozenset_exchange, pair_scan_poset)
 from test_groups import _relisted
@@ -375,17 +376,19 @@ def test_repeated_generators_verify_as_the_generator_listed_once(tmp_path, name)
     assert once.returncode == 0 and proc.stdout == once.stdout
 
 
-def test_distinct_generators_past_the_character_search_cap_exit_3(tmp_path):
+def test_distinct_generators_verify_as_the_group_listed_once(tmp_path):
     """verify on K7 under Z12 listing its 11 non-identity elements, whose
-    orders multiply past 10^6, exits 3 at the character search cap within
-    3 s of starting a fresh interpreter, naming the cap and the number of
-    distinct generators."""
-    path = write_jobs(tmp_path, {"k7_z12": CHARACTER_CAP_JOB}, character="chromatic")["k7_z12"]
-    proc, wall = _verify(path, timeout=3)
-    assert proc.returncode == 3, proc.stderr
-    assert json.loads(proc.stderr)["message"] == (
-        "too many generator assignments for character search: 11 generators, cap 1000000")
+    orders multiply to 214,990,848, exits 0 within 3 s of starting a
+    fresh interpreter and prints the bytes of the job that lists
+    "(a b c)(d e f g)" once."""
+    job = DISTINCT_GENERATORS_JOB
+    paths = write_jobs(tmp_path, {"k7_z12": job, "once": dict(job, group=job["group"][:1])},
+                       character="chromatic")
+    proc, wall = _verify(paths["k7_z12"], timeout=3)
+    assert proc.returncode == 0, proc.stderr
     assert wall < 3
+    once, _ = _verify(paths["once"])
+    assert once.returncode == 0 and proc.stdout == once.stdout
 
 
 def test_relisted_corpus_groups_verify_as_listed_once(tmp_path):
